@@ -19,6 +19,9 @@
 // --metrics writes a JSON snapshot of the run's summary metrics and, for
 // edgeIS, the LinkHealthStats block. Both are deterministic: same seed +
 // same fault script => byte-identical files.
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +51,22 @@ void usage(const char* argv0) {
                argv0);
 }
 
+/// Parse all of `text` as an unsigned decimal integer no larger than
+/// `hi`. Anything else — empty, a sign, trailing junk, out of range — is a
+/// usage error.
+bool parse_unsigned(const char* text, unsigned long long hi,
+                    unsigned long long& out) {
+  // strtoull skips leading blanks and accepts a sign (wrapping "-5" to a
+  // huge value), so insist on a leading digit.
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v > hi) return false;
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,8 +92,22 @@ int main(int argc, char** argv) {
     if (arg == "--system") system = next();
     else if (arg == "--dataset") dataset = next();
     else if (arg == "--link") link = next();
-    else if (arg == "--frames") frames = std::atoi(next());
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
+    else if (arg == "--frames") {
+      unsigned long long v = 0;
+      if (!parse_unsigned(next(), INT_MAX, v) || v == 0) {
+        usage(argv[0]);
+        return 2;
+      }
+      frames = static_cast<int>(v);
+    }
+    else if (arg == "--seed") {
+      unsigned long long v = 0;
+      if (!parse_unsigned(next(), UINT64_MAX, v)) {
+        usage(argv[0]);
+        return 2;
+      }
+      seed = v;
+    }
     else if (arg == "--no-mamt") cfg.enable_mamt = false;
     else if (arg == "--no-ciia") cfg.enable_ciia = false;
     else if (arg == "--no-cfrs") cfg.enable_cfrs = false;

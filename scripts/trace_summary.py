@@ -203,9 +203,6 @@ def check_critpath(events):
             elif ev["tid"] == 2 and ev["name"] == "downlink":
                 downlinks[key].append((ev, usable))
 
-    def edge_lookup(table, session, request):
-        return table.get((session, request)) or table.get((-1, request))
-
     requests = []
     for key, resp in sorted(responses.items()):
         if key not in first_send:
@@ -227,7 +224,7 @@ def check_critpath(events):
                 if up is None or end > up["ts"] + up["dur"]:
                     up = ev
         arrive = up["ts"] + up["dur"] if up else t0
-        cands = edge_lookup(infers, *key) or []
+        cands = infers.get(key, [])
         inside = [x for x in cands
                   if x["ts"] >= arrive - 1e-6
                   and x["ts"] + x["dur"] <= t1 + 1e-6]
@@ -236,7 +233,7 @@ def check_critpath(events):
             done = [x for x in cands if x["ts"] + x["dur"] <= t1 + 1e-6]
             inf = max(done, key=lambda x: x["ts"] + x["dur"]) if done else None
         lo = inf["ts"] if inf else arrive
-        chunks = [ts for ts in (edge_lookup(chunk_ready, *key) or ())
+        chunks = [ts for ts in chunk_ready.get(key, ())
                   if lo - 1e-6 <= ts <= t1 + 1e-6]
         down = None
         for ev, usable in downlinks.get(key, ()):
@@ -313,8 +310,7 @@ def check_canvas(events):
                 ((pid - 3) // 4, int(arg_num(ev, "request", -1)),
                  ev["ts"], i))
     for session, request, ts, i in ledger_resyncs:
-        cands = (edge_resyncs.get((session, request)) or
-                 edge_resyncs.get((-1, request)) or [])
+        cands = edge_resyncs.get((session, request), [])
         if not any(t <= ts + 1e-6 for t in cands):
             fail(f"event {i}: ledger canvas_resync for request "
                  f"({session}, {request}) has no earlier edge refusal")

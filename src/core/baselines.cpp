@@ -114,7 +114,8 @@ TrackDetectPipeline::TrackDetectPipeline(
       rng_(config_.seed ^ 0x7d7dULL),
       edge_(config_.model, config_.edge, rt::Rng(config_.seed ^ 0xab1eULL),
             net::FaultInjector(config_.faults.uplink,
-                               rt::Rng(config_.seed ^ 0xfa017ULL))),
+                               rt::Rng(config_.seed ^ 0xfa017ULL)),
+            net::SendQueue(config_.link, rt::Rng(config_.seed ^ 0x7d5af1ULL))),
       render_queue_(scene_config.fps),
       downlink_faults_(config_.faults.downlink,
                        rt::Rng(config_.seed ^ 0xfa02eULL)) {}
@@ -158,18 +159,22 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
     stage_start += dur_ms;
   };
 
-  // Deliver due responses: the cached masks are replaced wholesale.
+  // Deliver due chunks in arrival order: the cached masks are replaced
+  // wholesale, but only once every chunk of a frame's response has
+  // arrived.
   {
-    auto it = pending_.begin();
-    while (it != pending_.end()) {
-      if (it->deliver_at_ms <= now_ms) {
-        cached_masks_ = std::move(it->response.masks);
-        last_annotation_ms_ = now_ms;
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
+    const auto due = std::stable_partition(
+        pending_.begin(), pending_.end(), [&](const PendingResponse& p) {
+          return p.deliver_at_ms <= now_ms;
+        });
+    std::stable_sort(pending_.begin(), due,
+                     [](const PendingResponse& a, const PendingResponse& b) {
+                       return a.deliver_at_ms < b.deliver_at_ms;
+                     });
+    for (auto it = pending_.begin(); it != due; ++it) {
+      accept_chunk(std::move(it->response), now_ms);
     }
+    pending_.erase(pending_.begin(), due);
   }
 
   auto features = orb_.extract(frame.intensity);
@@ -266,10 +271,7 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
     req.oracle = build_oracle(frame);
     req.content_quality = encoded.content_quality;
     // No CIIA: these systems run the unmodified model.
-    const double up_ms =
-        net::transmit_ms(config_.link, encoded.total_bytes, rng_);
-    edge_.submit(frame.index, now_ms, up_ms, req, /*attempt=*/0,
-                 encoded.total_bytes);
+    edge_.submit_streamed(frame.index, now_ms, encoded.total_bytes, req);
     auto responses = edge_.poll(1e18);
     for (auto& r : responses) {
       const double down_ms =
@@ -284,8 +286,12 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
       }
       net::trace_transfer(tracer_, /*uplink=*/false, r.ready_ms, down_ms,
                           r.payload_bytes, fate, r.frame_index, r.attempt,
-                          dup_down_ms);
-      if (fate.drop) continue;  // lost response: these systems just retry
+                          dup_down_ms, /*queue_wait_ms=*/0.0,
+                          r.chunk_count > 1 ? r.chunk_index : -1,
+                          r.chunk_count);
+      // A lost chunk leaves its frame incomplete: these systems just
+      // retry with a later frame.
+      if (fate.drop) continue;
       if (fate.duplicate) {
         pending_.push_back({r.ready_ms + dup_down_ms * fate.latency_scale +
                                 fate.duplicate_delay_ms,
@@ -328,6 +334,36 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
     out.staleness_ms = now_ms - last_annotation_ms_;
   }
   return out;
+}
+
+void TrackDetectPipeline::accept_chunk(EdgeServer::Response r,
+                                       double now_ms) {
+  const auto count = static_cast<std::size_t>(r.chunk_count);
+  if (r.frame_index != assembly_frame_) {
+    // A new frame's response: the gate keeps one frame in flight, so the
+    // previous frame's set is finished or lost for good.
+    assembly_frame_ = r.frame_index;
+    assembly_have_.assign(count, false);
+    assembly_masks_.assign(count, {});
+  } else if (count != assembly_have_.size()) {
+    // The other inference of a duplicated request, framed differently:
+    // never merged into the set already being assembled (the
+    // net::ChunkAssembler mismatch rule).
+    return;
+  }
+  const auto i = static_cast<std::size_t>(r.chunk_index);
+  if (assembly_have_[i]) return;  // duplicate, or the set is done
+  assembly_have_[i] = true;
+  assembly_masks_[i] = std::move(r.masks);
+  if (std::find(assembly_have_.begin(), assembly_have_.end(), false) !=
+      assembly_have_.end()) {
+    return;
+  }
+  cached_masks_.clear();
+  for (auto& part : assembly_masks_) {
+    for (auto& m : part) cached_masks_.push_back(std::move(m));
+  }
+  last_annotation_ms_ = now_ms;
 }
 
 }  // namespace edgeis::core

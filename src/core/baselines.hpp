@@ -66,6 +66,9 @@ class TrackDetectPipeline : public Pipeline {
  private:
   std::vector<segnet::OracleInstance> build_oracle(
       const scene::RenderedFrame& frame) const;
+  /// One response chunk was delivered: file it under its frame, and adopt
+  /// the frame's masks once its chunk set is complete.
+  void accept_chunk(EdgeServer::Response r, double now_ms);
 
   scene::SceneConfig scene_config_;
   PipelineConfig config_;
@@ -78,8 +81,9 @@ class TrackDetectPipeline : public Pipeline {
   rt::Rng rng_;
   EdgeServer edge_;
   RenderQueue render_queue_;
-  // Same fault script as edgeIS faces (uplink faults live in edge_), so
-  // the comparison under lossy links is apples to apples.
+  // Same fault script as edgeIS faces (uplink faults and the uplink send
+  // queue live in edge_), so the comparison under lossy links is apples
+  // to apples.
   net::FaultInjector downlink_faults_;
   sim::MobileCostModel cost_model_;
   CorrelationTracker kcf_;
@@ -91,6 +95,11 @@ class TrackDetectPipeline : public Pipeline {
   std::vector<PendingResponse> pending_;
 
   std::vector<mask::InstanceMask> cached_masks_;
+  // Reassembly of the response in flight, by chunk index. The "client
+  // drops while busy" gate keeps one frame's chunks in flight at a time.
+  int assembly_frame_ = -1;
+  std::vector<bool> assembly_have_;
+  std::vector<std::vector<mask::InstanceMask>> assembly_masks_;
   std::vector<feat::Feature> prev_features_;
   img::GrayImage prev_image_;
   int last_tx_frame_ = -1000;

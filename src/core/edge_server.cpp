@@ -7,25 +7,6 @@
 
 namespace edgeis::core {
 
-void EdgeServer::submit(int frame_index, double sent_ms, double transmit_ms,
-                        const segnet::InferenceRequest& request,
-                        int attempt, std::size_t bytes) {
-  // Fault windows key off the time the message *enters* the link, so a
-  // throttle window can stretch the transmit of a message sent inside it.
-  const auto fate = uplink_faults_.on_message(sent_ms);
-  net::trace_transfer(tracer_, /*uplink=*/true, sent_ms, transmit_ms, bytes,
-                      fate, frame_index, attempt, transmit_ms);
-  if (fate.drop) return;  // lost on the uplink; sender's ledger times out
-  const double arrive_ms =
-      sent_ms + transmit_ms * fate.latency_scale + fate.extra_delay_ms;
-  const int copies = fate.duplicate ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
-    const double at =
-        arrive_ms + (copy == 0 ? 0.0 : fate.duplicate_delay_ms);
-    run_inference(frame_index, at, request, attempt, /*streamed=*/false);
-  }
-}
-
 void EdgeServer::submit_streamed(int frame_index, double sent_ms,
                                  std::size_t bytes,
                                  const segnet::InferenceRequest& request,
@@ -36,18 +17,9 @@ void EdgeServer::submit_streamed(int frame_index, double sent_ms,
                       attempt, out.duplicate_transit_ms,
                       out.slot.queue_wait_ms);
   if (out.fate.drop) return;
-  if (gpu_ != nullptr) {
-    enqueue_gpu(frame_index, out.deliver_ms, request, attempt);
-    if (out.fate.duplicate) {
-      enqueue_gpu(frame_index, out.duplicate_deliver_ms, request, attempt);
-    }
-    return;
-  }
-  run_inference(frame_index, out.deliver_ms, request, attempt,
-                /*streamed=*/true);
+  enqueue_gpu(frame_index, out.deliver_ms, request, attempt);
   if (out.fate.duplicate) {
-    run_inference(frame_index, out.duplicate_deliver_ms, request, attempt,
-                  /*streamed=*/true);
+    enqueue_gpu(frame_index, out.duplicate_deliver_ms, request, attempt);
   }
 }
 
@@ -69,11 +41,7 @@ void EdgeServer::submit_canvas_full(int frame_index, double sent_ms,
     // A full keyframe unconditionally (re)seeds the canvas — re-applying
     // a duplicated copy at the same epoch is idempotent.
     canvas_.apply_full(encoded, epoch);
-    if (gpu_ != nullptr) {
-      enqueue_gpu(frame_index, at, request, attempt);
-    } else {
-      run_inference(frame_index, at, request, attempt, /*streamed=*/true);
-    }
+    enqueue_gpu(frame_index, at, request, attempt);
   }
 }
 
@@ -107,12 +75,7 @@ void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
       }
       segnet::InferenceRequest reconstructed = request;
       reconstructed.content_quality = applied.content_quality;
-      if (gpu_ != nullptr) {
-        enqueue_gpu(frame_index, at, reconstructed, attempt);
-      } else {
-        run_inference(frame_index, at, reconstructed, attempt,
-                      /*streamed=*/true);
-      }
+      enqueue_gpu(frame_index, at, reconstructed, attempt);
       continue;
     }
     // Cold canvas or epoch mismatch: the edge cannot faithfully
@@ -139,11 +102,6 @@ void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
     r.payload_bytes = 32;
     completed_.push_back(std::move(r));
   }
-}
-
-void EdgeServer::attach_gpu(EdgeGpu* gpu) {
-  gpu_ = gpu;
-  session_id_ = gpu != nullptr ? gpu->register_session(this) : -1;
 }
 
 void EdgeServer::enqueue_gpu(int frame_index, double arrive_ms,
@@ -244,97 +202,38 @@ bool EdgeServer::submit_resend(int frame_index, double sent_ms,
   return emitted;
 }
 
-void EdgeServer::trace_inference(int frame_index, double arrive_ms,
-                                 double start, double compute_ms,
-                                 const segnet::InferenceRequest& request,
-                                 const segnet::InferenceResult& result,
-                                 int attempt) const {
-  if (tracer_ == nullptr) return;
-  // Edge-side spans are X (complete) events: a retransmitted request can
-  // arrive while the server is busy with its sibling, so spans on this
-  // track may overlap and must not rely on B/E nesting. The decode step
-  // has no modeled cost; it appears as an instant at arrival.
-  const double scale = device_.model_compute_scale;
-  const auto& s = result.stats;
-  tracer_->instant(rt::track::kEdge, "decode", arrive_ms,
-                   {{"frame", frame_index},
-                    {"attempt", attempt},
-                    {"session", session_id_}});
-  if (start > arrive_ms) {
-    tracer_->complete(rt::track::kEdge, "queue_wait", arrive_ms,
-                      start - arrive_ms,
-                      {{"frame", frame_index}, {"session", session_id_}});
-  }
-  tracer_->complete(
-      rt::track::kEdge, "infer", start, compute_ms,
-      {{"frame", frame_index},
-       {"attempt", attempt},
-       {"instances", result.instances.size()},
-       {"anchors", s.anchors_evaluated},
-       {"rois_selected", s.rois_after_selection},
-       {"rois_after_pruning", s.rois_after_pruning},
-       {"session", session_id_}});
-  double t = start;
-  tracer_->complete(rt::track::kEdge, "backbone", t, s.backbone_ms * scale);
-  t += s.backbone_ms * scale;
-  // CIIA instrumentation: the RPN span carries the anchor-placement
-  // numbers, the mask-head span the RoI-pruning numbers — the work CIIA
-  // saves is exactly the difference these args show under ablation.
-  tracer_->complete(rt::track::kEdge, "rpn", t, s.rpn_ms * scale,
-                    {{"anchors", s.anchors_evaluated},
-                     {"dynamic_placement",
-                      request.use_dynamic_anchor_placement},
-                     {"proposals", s.proposals_pre_nms}});
-  t += s.rpn_ms * scale;
-  tracer_->complete(rt::track::kEdge, "head", t, s.head_ms * scale,
-                    {{"rois", s.rois_after_selection}});
-  t += s.head_ms * scale;
-  tracer_->complete(rt::track::kEdge, "mask_head", t,
-                    s.mask_head_ms * scale,
-                    {{"rois", s.rois_after_pruning},
-                     {"roi_pruning", request.use_roi_pruning}});
-}
-
-void EdgeServer::run_inference(int frame_index, double arrive_ms,
-                               const segnet::InferenceRequest& request,
-                               int attempt, bool streamed) {
-  const double start = std::max(arrive_ms, free_at_ms_);
-  segnet::InferenceResult result = model_.infer(request);
-  const double compute_ms =
-      result.stats.total_ms() * device_.model_compute_scale;
-  trace_inference(frame_index, arrive_ms, start, compute_ms, request,
-                  result, attempt);
-  free_at_ms_ = start + compute_ms;
-
-  if (!streamed) {
-    Response r;
-    r.frame_index = frame_index;
-    r.ready_ms = start + compute_ms;
-    r.attempt = attempt;
-    r.stats = result.stats;
-    r.masks.reserve(result.instances.size());
-    for (auto& inst : result.instances) {
-      r.masks.push_back(std::move(inst.mask));
+void EdgeServer::emit_batched(int frame_index, int attempt, int width,
+                              int height, segnet::InferenceResult&& result,
+                              double arrive_ms, double start_ms,
+                              double mask_base_ms, int batch_index,
+                              int batch_size) {
+  const double mask_head_ms =
+      result.stats.mask_head_ms * device_.model_compute_scale;
+  if (tracer_ != nullptr) {
+    // Per-element spans are X events: batch elements overlap by
+    // construction (one fused first stage, back-to-back mask windows).
+    if (start_ms > arrive_ms) {
+      tracer_->complete(rt::track::kEdge, "queue_wait", arrive_ms,
+                        start_ms - arrive_ms,
+                        {{"frame", frame_index}, {"session", session_id_}});
     }
-    r.payload_bytes = mask_payload_bytes(r.masks);
-    completed_.push_back(std::move(r));
-    return;
+    // CIIA instrumentation: the anchor and RoI counts are exactly the
+    // work CIIA saves, so ablations show up as differences in these args.
+    const auto& s = result.stats;
+    tracer_->complete(rt::track::kEdge, "infer", start_ms,
+                      mask_base_ms + mask_head_ms - start_ms,
+                      {{"frame", frame_index},
+                       {"attempt", attempt},
+                       {"instances", result.instances.size()},
+                       {"anchors", s.anchors_evaluated},
+                       {"proposals", s.proposals_pre_nms},
+                       {"rois_selected", s.rois_after_selection},
+                       {"rois_after_pruning", s.rois_after_pruning},
+                       {"batch", batch_size},
+                       {"batch_index", batch_index},
+                       {"session", session_id_}});
   }
 
-  // Streamed: the first-stage work (backbone + RPN + box head) completes
-  // before any mask exists, then the mask head finishes instances one by
-  // one starting at start + first_stage.
-  const double first_stage_ms =
-      (result.stats.backbone_ms + result.stats.rpn_ms +
-       result.stats.head_ms) * device_.model_compute_scale;
-  emit_streamed_chunks(frame_index, attempt, request.width, request.height,
-                       std::move(result), start + first_stage_ms);
-}
-
-void EdgeServer::emit_streamed_chunks(int frame_index, int attempt,
-                                      int width, int height,
-                                      segnet::InferenceResult&& result,
-                                      double mask_base_ms) {
   // Frame the result as per-instance protocol chunks (wire sizes come
   // from actually serializing each chunk message) and emit each chunk as
   // its mask leaves the mask head.
@@ -345,8 +244,6 @@ void EdgeServer::emit_streamed_chunks(int frame_index, int attempt,
   }
   const auto chunks = net::chunk_mask_result(
       net::build_mask_result(frame_index, width, height, masks));
-  const double mask_head_ms =
-      result.stats.mask_head_ms * device_.model_compute_scale;
   const auto n = static_cast<double>(chunks.size());
 
   CachedResult cache;
@@ -391,34 +288,9 @@ void EdgeServer::emit_streamed_chunks(int frame_index, int attempt,
     completed_.push_back(std::move(r));
   }
   result_cache_[frame_index] = std::move(cache);
-}
-
-void EdgeServer::emit_batched(int frame_index, int attempt, int width,
-                              int height, segnet::InferenceResult&& result,
-                              double arrive_ms, double start_ms,
-                              double mask_base_ms, int batch_index,
-                              int batch_size) {
-  if (tracer_ != nullptr) {
-    // Per-element spans are X events: batch elements overlap by
-    // construction (one fused first stage, back-to-back mask windows).
-    if (start_ms > arrive_ms) {
-      tracer_->complete(rt::track::kEdge, "queue_wait", arrive_ms,
-                        start_ms - arrive_ms,
-                        {{"frame", frame_index}, {"session", session_id_}});
-    }
-    const double mask_end_ms =
-        mask_base_ms + result.stats.mask_head_ms * device_.model_compute_scale;
-    tracer_->complete(rt::track::kEdge, "infer", start_ms,
-                      mask_end_ms - start_ms,
-                      {{"frame", frame_index},
-                       {"attempt", attempt},
-                       {"instances", result.instances.size()},
-                       {"batch", batch_size},
-                       {"batch_index", batch_index},
-                       {"session", session_id_}});
+  while (result_cache_.size() > kResultCacheFrames) {
+    result_cache_.erase(result_cache_.begin());
   }
-  emit_streamed_chunks(frame_index, attempt, width, height,
-                       std::move(result), mask_base_ms);
 }
 
 int EdgeGpu::register_session(EdgeServer* server) {
@@ -483,10 +355,9 @@ void EdgeGpu::advance_to(double now_ms) {
                            item.height, std::move(item.result),
                            item.arrive_ms, start, start + first_stage_ms,
                            /*batch_index=*/0, /*batch_size=*/1);
-      // Occupancy uses the exact single-server formula (start + total *
-      // scale), NOT first-stage-plus-mask-window arithmetic: a fleet of
-      // one must be bit-identical to the private-FIFO path, and the two
-      // expressions differ in floating point. test_fleet pins this.
+      // Occupancy is start + total * scale, NOT first-stage-plus-mask-
+      // window arithmetic: the two expressions differ in floating point,
+      // and every single-session figure in bench/expected pins this one.
       free_at_ms_ = start + compute_ms;
       stats_.busy_ms += compute_ms;
       continue;
@@ -539,10 +410,11 @@ void EdgeServer::submit_ping(int ping_id, double sent_ms) {
   Response r;
   r.frame_index = ping_id;
   r.is_ping = true;
-  // A shared-GPU server echoes its saturation state: the probe answer is
-  // "alive but busy", which keeps a degraded client parked until the
-  // queue actually drains rather than thrashing the gate.
-  r.rejected = gpu_ != nullptr && gpu_->saturated();
+  // The echo carries the GPU's saturation state (a server's own GPU has
+  // no gate and never saturates): the probe answer is "alive but busy",
+  // which keeps a degraded client parked until the queue actually drains
+  // rather than thrashing the gate.
+  r.rejected = gpu_->saturated();
   // Echoed from the network stack: no inference queue involved.
   r.ready_ms = out.deliver_ms + 0.2;
   if (tracer_ != nullptr) {
@@ -554,9 +426,9 @@ void EdgeServer::submit_ping(int ping_id, double sent_ms) {
 }
 
 std::vector<EdgeServer::Response> EdgeServer::poll(double now_ms) {
-  // Dispatch shared-GPU batches first: everything whose batch start has
-  // been reached lands in completed_ before the readiness scan.
-  if (gpu_ != nullptr) gpu_->advance_to(now_ms);
+  // Dispatch GPU batches first: everything whose batch start has been
+  // reached lands in completed_ before the readiness scan.
+  gpu_->advance_to(now_ms);
   std::vector<Response> ready;
   auto it = completed_.begin();
   while (it != completed_.end()) {
@@ -574,34 +446,6 @@ std::vector<EdgeServer::Response> EdgeServer::poll(double now_ms) {
                      return a.ready_ms < b.ready_ms;
                    });
   return ready;
-}
-
-int EdgeServer::pending(double now_ms) const {
-  int n = 0;
-  for (const auto& r : completed_) {
-    if (r.ready_ms > now_ms) ++n;
-  }
-  // Requests still queued on the shared GPU have produced no responses
-  // yet but are very much outstanding.
-  if (gpu_ != nullptr) n += gpu_->queued_for(session_id_);
-  return n;
-}
-
-double EdgeServer::busy_until_ms() const {
-  return gpu_ != nullptr ? std::max(free_at_ms_, gpu_->free_at_ms())
-                         : free_at_ms_;
-}
-
-std::size_t mask_payload_bytes(const std::vector<mask::InstanceMask>& masks) {
-  std::size_t bytes = 16;  // framing
-  for (const auto& m : masks) {
-    const auto contours = mask::find_contours(m);
-    std::size_t vertices = 0;
-    for (const auto& c : contours) vertices += c.size();
-    // 2x uint16 per vertex + class/instance header.
-    bytes += 8 + vertices * 4;
-  }
-  return bytes;
 }
 
 }  // namespace edgeis::core

@@ -52,7 +52,7 @@ class EdgeISPipeline : public Pipeline {
   /// before the first frame. The pipeline keeps its own session state —
   /// ledger, result cache, RTO estimator, fault scripts — so only GPU
   /// *timing* is shared.
-  void attach_shared_gpu(EdgeGpu* gpu) { edge_.attach_gpu(gpu); }
+  void attach_shared_gpu(EdgeGpu* gpu) { edge_.attach_gpu(*gpu); }
 
   /// Ledger / degraded-mode accounting, merged with the link-level fault
   /// counters of both injectors. Deterministic for a fixed seed + script.

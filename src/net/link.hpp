@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "net/faults.hpp"
 #include "runtime/rng.hpp"
@@ -51,59 +50,5 @@ void trace_transfer(rt::Tracer* tracer, bool uplink, double enter_ms,
                     double duplicate_transit_ms = 0.0,
                     double queue_wait_ms = 0.0, int chunk_index = -1,
                     int chunk_count = 0, bool is_resend = false);
-
-/// A half-duplex request/response channel with in-order delivery and at
-/// most `capacity` requests in flight (the transmission-module thread of
-/// Section VI-A sends frames and receives masks asynchronously).
-template <typename Payload>
-class Channel {
- public:
-  struct InFlight {
-    double deliver_at_ms;
-    Payload payload;
-  };
-
-  void send(double now_ms, double latency_ms, Payload payload) {
-    queue_.push_back({now_ms + latency_ms, std::move(payload)});
-  }
-
-  /// Send through a fault injector: the message may be lost, duplicated,
-  /// delayed past later sends, or stretched by a bandwidth-collapse
-  /// window (latency_scale). Returns false when the message was lost.
-  bool send(double now_ms, double latency_ms, Payload payload,
-            FaultInjector& faults) {
-    const FaultDecision d = faults.on_message(now_ms);
-    if (d.drop) return false;
-    const double transit_ms = latency_ms * d.latency_scale + d.extra_delay_ms;
-    if (d.duplicate) {
-      queue_.push_back({now_ms + transit_ms + d.duplicate_delay_ms, payload});
-    }
-    queue_.push_back({now_ms + transit_ms, std::move(payload)});
-    return true;
-  }
-
-  /// Pop the next message delivered by `now_ms`, oldest first. Messages
-  /// with equal delivery times come out in send order (FIFO).
-  [[nodiscard]] bool try_receive(double now_ms, Payload& out) {
-    std::size_t best = queue_.size();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (queue_[i].deliver_at_ms > now_ms) continue;
-      // Strict <: the earliest-sent of equal delivery times wins.
-      if (best == queue_.size() ||
-          queue_[i].deliver_at_ms < queue_[best].deliver_at_ms) {
-        best = i;
-      }
-    }
-    if (best == queue_.size()) return false;
-    out = std::move(queue_[best].payload);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-    return true;
-  }
-
-  [[nodiscard]] std::size_t in_flight() const { return queue_.size(); }
-
- private:
-  std::vector<InFlight> queue_;
-};
 
 }  // namespace edgeis::net

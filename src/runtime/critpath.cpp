@@ -61,17 +61,6 @@ struct Span {
 
 using Key = std::pair<int, int>;  // (session, request/frame)
 
-/// Edge events carry the submitting session as an arg (-1 for a private,
-/// single-client server): exact key first, then the private wildcard.
-template <typename T>
-const std::vector<T>* edge_lookup(const std::map<Key, std::vector<T>>& m,
-                                  int session, int request) {
-  auto it = m.find({session, request});
-  if (it != m.end()) return &it->second;
-  it = m.find({-1, request});
-  return it != m.end() ? &it->second : nullptr;
-}
-
 }  // namespace
 
 void CritPathStages::accumulate(const CritPathStages& other) {
@@ -218,14 +207,15 @@ CritPathAnalysis CritPathAnalysis::from_trace(const Tracer& tracer,
     // leaving no fresh infer).
     const double arrive = up != nullptr ? up->end : t0;
     const InferX* inf = nullptr;
-    if (const auto* list = edge_lookup(infers, cp.session, cp.request)) {
-      for (const auto& x : *list) {
+    if (const auto it = infers.find(key); it != infers.end()) {
+      const auto& list = it->second;
+      for (const auto& x : list) {
         if (x.start + kEps >= arrive && x.end <= t1 + kEps) {
           if (inf == nullptr || x.start < inf->start) inf = &x;
         }
       }
       if (inf == nullptr) {
-        for (const auto& x : *list) {
+        for (const auto& x : list) {
           if (x.end <= t1 + kEps && (inf == nullptr || x.end > inf->end)) {
             inf = &x;
           }
@@ -240,10 +230,9 @@ CritPathAnalysis CritPathAnalysis::from_trace(const Tracer& tracer,
     // First/last streamed chunk inside the selected infer's window.
     double first_chunk = -1.0;
     double last_chunk = -1.0;
-    if (const auto* list =
-            edge_lookup(chunk_ready, cp.session, cp.request)) {
+    if (const auto it = chunk_ready.find(key); it != chunk_ready.end()) {
       const double lo = inf != nullptr ? inf->start : arrive;
-      for (double ts : *list) {
+      for (double ts : it->second) {
         if (ts + kEps < lo || ts > t1 + kEps) continue;
         if (first_chunk < 0.0 || ts < first_chunk) first_chunk = ts;
         if (ts > last_chunk) last_chunk = ts;

@@ -8,6 +8,7 @@
 #include "core/edgeis_pipeline.hpp"
 #include "net/faults.hpp"
 #include "net/link.hpp"
+#include "net/send_queue.hpp"
 #include "scene/presets.hpp"
 
 using namespace edgeis;
@@ -44,19 +45,34 @@ TEST(FaultScript, DropDecisionsDeterministicAcrossRuns) {
   EXPECT_NEAR(drops / 2000.0, 0.3, 0.05);
 }
 
+namespace {
+
+// A jitter- and congestion-free link: every message's transit is exactly
+// its base latency plus serialization.
+LinkProfile fixed_link(double latency_ms) {
+  LinkProfile link;
+  link.base_latency_ms = latency_ms;
+  link.jitter_ms = 0.0;
+  link.congestion_probability = 0.0;
+  return link;
+}
+
+}  // namespace
+
 TEST(FaultScript, DuplicateDeliversTwoCopies) {
   FaultScript script;
   script.add({0.0, 1e9, FaultMode::kDuplicate, 1.0, 0.0});
   FaultInjector inj(script, rt::Rng(5));
-  Channel<int> ch;
-  ASSERT_TRUE(ch.send(0.0, 10.0, 42, inj));
-  EXPECT_EQ(ch.in_flight(), 2u);
-  int out = 0;
-  ASSERT_TRUE(ch.try_receive(1e9, out));
-  EXPECT_EQ(out, 42);
-  ASSERT_TRUE(ch.try_receive(1e9, out));
-  EXPECT_EQ(out, 42);
-  EXPECT_FALSE(ch.try_receive(1e9, out));
+  SendQueue q(fixed_link(10.0), rt::Rng(5));
+  const auto out = q.enqueue(0.0, 0, inj);
+  ASSERT_FALSE(out.fate.drop);
+  ASSERT_TRUE(out.fate.duplicate);
+  EXPECT_DOUBLE_EQ(out.deliver_ms, 10.0);
+  // The lagging copy is its own transmission, delayed by 5..40 ms.
+  EXPECT_GE(out.duplicate_deliver_ms, 15.0);
+  EXPECT_LE(out.duplicate_deliver_ms, 50.0);
+  EXPECT_EQ(q.in_flight(0.0), 2);  // both copies on the wire
+  EXPECT_EQ(q.in_flight(1e9), 0);
   EXPECT_EQ(inj.stats().duplicated, 1);
 }
 
@@ -66,14 +82,14 @@ TEST(FaultScript, ReorderLetsLaterMessageOvertake) {
   FaultScript script;
   script.add({0.0, 0.5, FaultMode::kReorder, 1.0, 100.0});
   FaultInjector inj(script, rt::Rng(9));
-  Channel<int> ch;
-  ASSERT_TRUE(ch.send(0.0, 10.0, 1, inj));  // reordered: arrives at >= 60
-  ASSERT_TRUE(ch.send(1.0, 10.0, 2, inj));  // arrives at 11
-  int out = 0;
-  ASSERT_TRUE(ch.try_receive(1e9, out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(ch.try_receive(1e9, out));
-  EXPECT_EQ(out, 1);
+  SendQueue q(fixed_link(10.0), rt::Rng(9));
+  const auto first = q.enqueue(0.0, 0, inj);   // reordered: arrives >= 60
+  const auto second = q.enqueue(1.0, 0, inj);  // arrives at 11
+  ASSERT_FALSE(first.fate.drop);
+  ASSERT_FALSE(second.fate.drop);
+  EXPECT_GE(first.deliver_ms, 60.0);
+  EXPECT_DOUBLE_EQ(second.deliver_ms, 11.0);
+  EXPECT_LT(second.deliver_ms, first.deliver_ms);
   EXPECT_EQ(inj.stats().reordered, 1);
 }
 

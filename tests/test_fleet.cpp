@@ -1,10 +1,10 @@
 // Fleet-scale serving tests: equivalence (a fleet of one reproduces the
-// solo run_pipeline() exactly; a batch of one is bitwise-identical to the
-// unbatched streamed path), determinism (same config -> byte-identical
-// trace JSON for an N-client run), isolation (faults scripted for one
-// client never touch another's counters), and admission control
-// (saturation pushes clients into MAMT degraded mode and lets them back
-// out once the gate opens).
+// solo run_pipeline() exactly; a batch of one on a shared GPU is
+// bitwise-identical to a server's own GPU), determinism (same config ->
+// byte-identical trace JSON for an N-client run), isolation (faults
+// scripted for one client never touch another's counters), and admission
+// control (saturation pushes clients into MAMT degraded mode and lets
+// them back out once the gate opens).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -134,16 +134,16 @@ TEST(FleetEquivalence, SingleClientMatchesRunPipeline) {
   EXPECT_DOUBLE_EQ(fleet.mean_iou, ref.summary.mean_iou);
 }
 
-// A batch of one through the shared GPU emits the exact chunk stream the
-// private FIFO emits: same ready times (bitwise doubles), same framing,
-// same payload bytes, same masks.
+// A batch of one through an attached shared GPU emits the exact chunk
+// stream the server's own one-session GPU emits: same ready times (bitwise
+// doubles), same framing, same payload bytes, same masks.
 TEST(FleetEquivalence, BatchOfOneBitwiseIdenticalToUnbatched) {
   const auto model = segnet::mask_rcnn_profile();
   const auto device = sim::jetson_tx2();
   EdgeServer plain(model, device, rt::Rng(7));
   EdgeServer gpu_backed(model, device, rt::Rng(7));
   EdgeGpu gpu;  // defaults: unbounded gate
-  gpu_backed.attach_gpu(&gpu);
+  gpu_backed.attach_gpu(gpu);
 
   const auto req = two_object_request();
   const double times[] = {0.0, 40.0, 41.0, 500.0};
@@ -166,7 +166,6 @@ TEST(FleetEquivalence, BatchOfOneBitwiseIdenticalToUnbatched) {
       EXPECT_TRUE(masks_equal(a[i].masks[m], b[i].masks[m]));
     }
   }
-  EXPECT_EQ(plain.busy_until_ms(), gpu_backed.busy_until_ms());
 }
 
 // ---------------------------------------------------------------------------

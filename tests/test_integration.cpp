@@ -2,11 +2,15 @@
 // the most expensive tests in the suite; scenes are kept short.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/baselines.hpp"
 #include "core/edge_server.hpp"
 #include "core/edgeis_pipeline.hpp"
 #include "core/local_trackers.hpp"
 #include "core/render_queue.hpp"
+#include "net/faults.hpp"
+#include "runtime/trace.hpp"
 #include "scene/presets.hpp"
 
 using namespace edgeis;
@@ -40,19 +44,32 @@ TEST(RenderQueue, OverBudgetLagsButSaturates) {
 }
 
 TEST(EdgeServer, FifoQueueing) {
+  // No shared GPU: the server's own one-session GPU is a plain FIFO.
   EdgeServer server(segnet::mask_rcnn_profile(), sim::jetson_tx2(),
                     rt::Rng(3));
   segnet::InferenceRequest req;
   req.width = 320;
   req.height = 240;
-  server.submit(1, 0.0, 0.0, req);
-  server.submit(2, 1.0, 0.0, req);  // arrives while busy: queued
-  auto all = server.poll(1e18);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].frame_index, 1);
-  EXPECT_GT(all[1].ready_ms, all[0].ready_ms);
+  server.submit_streamed(1, 0.0, 0, req);
+  server.submit_streamed(2, 1.0, 0, req);  // arrives while busy: queued
+  const auto all = server.poll(1e18);
+  ASSERT_GE(all.size(), 2u);
+  EXPECT_EQ(all.front().frame_index, 1);
+  EXPECT_EQ(all.back().frame_index, 2);
+  double first_done = 0.0;
+  double second_begin = 1e18;
+  double second_done = 0.0;
+  for (const auto& r : all) {
+    if (r.frame_index == 1) {
+      first_done = std::max(first_done, r.ready_ms);
+    } else {
+      second_begin = std::min(second_begin, r.ready_ms);
+      second_done = std::max(second_done, r.ready_ms);
+    }
+  }
+  EXPECT_GT(second_begin, first_done);  // never interleaved
   // Second request waited for the first: total >= 2x single inference.
-  EXPECT_GT(all[1].ready_ms, 2.0 * (all[0].ready_ms - 0.0) * 0.9);
+  EXPECT_GT(second_done, 2.0 * first_done * 0.9);
 }
 
 TEST(EdgeServer, PollRespectsTime) {
@@ -60,12 +77,13 @@ TEST(EdgeServer, PollRespectsTime) {
   segnet::InferenceRequest req;
   req.width = 320;
   req.height = 240;
-  server.submit(7, 0.0, 0.0, req);
-  EXPECT_EQ(server.pending(0.0), 1);
-  EXPECT_TRUE(server.poll(0.1).empty());
+  server.submit_streamed(7, 0.0, 0, req);
+  EXPECT_TRUE(server.poll(0.1).empty());  // still on the uplink
   const auto done = server.poll(1e6);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].frame_index, 7);
+  ASSERT_FALSE(done.empty());
+  for (const auto& r : done) EXPECT_EQ(r.frame_index, 7);
+  EXPECT_EQ(static_cast<int>(done.size()), done.back().chunk_count);
+  EXPECT_TRUE(server.poll(1e7).empty());
 }
 
 TEST(LocalTrackers, TranslateMaskClips) {
@@ -231,18 +249,122 @@ TEST(Baselines, EdgeIsBeatsTrackDetectOnAccuracy) {
   EXPECT_GT(r_edgeis.summary.mean_iou, r_eaar.summary.mean_iou);
 }
 
-TEST(MaskPayload, ScalesWithContours) {
-  std::vector<mask::InstanceMask> masks;
-  mask::InstanceMask big(320, 240);
-  for (int y = 40; y < 200; ++y) {
-    for (int x = 40; x < 280; ++x) big.set(x, y);
+// The track-detect baselines stream their responses too: a frame's masks
+// are adopted only once all of its chunks have arrived, and a chunk lost
+// on the downlink must not hold the "client drops while busy" gate shut.
+TEST(TrackDetectPipeline, AdoptsCompleteChunkSetsAndSurvivesLostChunk) {
+  const auto scfg = quick_scene(40);
+  scene::SceneSimulator sim(scfg);
+  auto run = [&](TrackDetectPipeline& p) {
+    std::vector<FrameOutput> outs;
+    for (int i = 0; i < scfg.total_frames; ++i) {
+      outs.push_back(p.process(sim.render(i)));
+    }
+    return outs;
+  };
+
+  // Clean traced run: when each chunk of frame 0's response left the edge.
+  PipelineConfig cfg;
+  TrackDetectPipeline clean(scfg, cfg, TrackDetectPolicy::kBestEffort);
+  rt::Tracer tracer;
+  clean.set_tracer(&tracer);
+  const auto clean_out = run(clean);
+  std::vector<double> chunk_ms;
+  for (const auto& e : tracer.events()) {
+    if (e.ph != 'X' || e.name != "downlink") continue;
+    for (const auto& a : e.args) {
+      if (a.key == "request" && a.number == 0.0) chunk_ms.push_back(e.ts_ms);
+    }
   }
-  masks.push_back(big);
-  const auto one = mask_payload_bytes(masks);
-  masks.push_back(big);
-  const auto two = mask_payload_bytes(masks);
-  EXPECT_GT(one, 100u);
-  EXPECT_NEAR(static_cast<double>(two), 2.0 * static_cast<double>(one), 40.0);
+  ASSERT_GE(chunk_ms.size(), 2u);  // a multi-chunk response
+  const double last_chunk_ms =
+      *std::max_element(chunk_ms.begin(), chunk_ms.end());
+  int adopted = -1;
+  for (const auto& o : clean_out) {
+    if (o.staleness_ms >= 0.0) {
+      adopted = o.frame_index;
+      break;
+    }
+  }
+  ASSERT_GT(adopted, 1);
+  EXPECT_TRUE(clean_out[0].transmitted);
+  EXPECT_FALSE(clean_out[1].transmitted);  // busy: the client drops frames
+
+  // Same run with a downlink blackout that swallows exactly the last chunk.
+  PipelineConfig lossy = cfg;
+  lossy.faults.downlink =
+      net::FaultScript::outage(last_chunk_ms, last_chunk_ms + 1e-3);
+  TrackDetectPipeline faulted(scfg, lossy, TrackDetectPolicy::kBestEffort);
+  const auto faulted_out = run(faulted);
+  EXPECT_LT(faulted_out[static_cast<std::size_t>(adopted)].staleness_ms,
+            0.0);  // incomplete set: the masks were not replaced
+  // The gate reopened once the surviving chunks landed: the next keyframe
+  // went out no later than the clean run's.
+  EXPECT_TRUE(std::any_of(faulted_out.begin() + 1,
+                          faulted_out.begin() + adopted + 1,
+                          [](const FrameOutput& o) { return o.transmitted; }));
+  EXPECT_TRUE(std::any_of(faulted_out.begin(), faulted_out.end(),
+                          [](const FrameOutput& o) {
+                            return o.staleness_ms >= 0.0;
+                          }));  // a later complete set is adopted
+}
+
+// A duplicated uplink request runs the model twice, and the two answers
+// may be framed with different chunk counts. The chunk set that starts
+// first is adopted; the other copy's chunks neither restart its assembly
+// nor re-adopt once it is done, so the masks next change with the next
+// keyframe's answer.
+TEST(TrackDetectPipeline, DuplicatedRequestAdoptsOneChunkSet) {
+  // A crowd: enough instances that the two inferences' misses differ.
+  const auto scfg =
+      scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 30);
+  scene::SceneSimulator sim(scfg);
+  std::vector<scene::RenderedFrame> frames;
+  for (int i = 0; i < scfg.total_frames; ++i) frames.push_back(sim.render(i));
+  int mismatched = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    PipelineConfig cfg;
+    cfg.seed = seed;
+    net::FaultScript dup;
+    dup.add({0.0, 1.0, net::FaultMode::kDuplicate});  // frame 0's request
+    cfg.faults = net::DuplexFaultScript::asymmetric(dup, {});
+    TrackDetectPipeline p(scfg, cfg, TrackDetectPolicy::kBestEffort);
+    rt::Tracer tracer;
+    p.set_tracer(&tracer);
+    std::vector<FrameOutput> outs;
+    for (const auto& f : frames) outs.push_back(p.process(f));
+
+    std::vector<double> counts;  // chunk count of each frame-0 chunk
+    for (const auto& e : tracer.events()) {
+      if (e.name != "chunk_ready") continue;
+      double frame = -1.0, chunks = 0.0;
+      for (const auto& a : e.args) {
+        if (a.key == "frame") frame = a.number;
+        if (a.key == "chunks") chunks = a.number;
+      }
+      if (frame == 0.0) counts.push_back(chunks);
+    }
+    ASSERT_FALSE(counts.empty());
+    mismatched += std::any_of(counts.begin(), counts.end(),
+                              [&](double c) { return c != counts.front(); });
+
+    const auto adopted = std::find_if(
+        outs.begin(), outs.end(),
+        [](const FrameOutput& o) { return o.staleness_ms >= 0.0; });
+    const auto reopened = std::find_if(
+        outs.begin() + 1, outs.end(),
+        [](const FrameOutput& o) { return o.transmitted; });
+    ASSERT_NE(adopted, outs.end());
+    ASSERT_NE(reopened, outs.end());
+    // Frame 0's answer landed before the gate reopened (both copies in)...
+    ASSERT_LE(adopted, reopened);
+    // ...and nothing re-adopted until then.
+    for (auto it = adopted + 1; it <= reopened; ++it) {
+      EXPECT_GT(it->staleness_ms, (it - 1)->staleness_ms);
+    }
+  }
+  EXPECT_GT(mismatched, 0);  // the differently-framed case was exercised
 }
 
 // The redesigned uplink behind PipelineConfig.encoding: on a clean link

@@ -1,4 +1,4 @@
-// Tests for the network link models and channel.
+// Tests for the network link models, wire protocol and send queue.
 #include <gtest/gtest.h>
 
 #include "net/link.hpp"
@@ -40,67 +40,6 @@ TEST(Link, LatencyAlwaysPositive) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GT(transmit_ms(lte(), 0, rng), 0.0);
   }
-}
-
-TEST(Channel, DeliversInTimeOrder) {
-  Channel<int> ch;
-  ch.send(0.0, 50.0, 1);
-  ch.send(0.0, 10.0, 2);
-  int out = 0;
-  EXPECT_FALSE(ch.try_receive(5.0, out));
-  ASSERT_TRUE(ch.try_receive(60.0, out));
-  EXPECT_EQ(out, 2);  // earlier delivery first
-  ASSERT_TRUE(ch.try_receive(60.0, out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(ch.try_receive(100.0, out));
-}
-
-TEST(Channel, InFlightCount) {
-  Channel<int> ch;
-  EXPECT_EQ(ch.in_flight(), 0u);
-  ch.send(0.0, 10.0, 1);
-  ch.send(0.0, 20.0, 2);
-  EXPECT_EQ(ch.in_flight(), 2u);
-  int out;
-  EXPECT_TRUE(ch.try_receive(15.0, out));
-  EXPECT_EQ(ch.in_flight(), 1u);
-}
-
-TEST(Channel, EqualDeliveryTimeTiesAreFifo) {
-  // Messages landing at the same instant come out in send order.
-  Channel<int> ch;
-  ch.send(0.0, 10.0, 1);
-  ch.send(0.0, 10.0, 2);
-  ch.send(0.0, 10.0, 3);
-  int out = 0;
-  ASSERT_TRUE(ch.try_receive(10.0, out));
-  EXPECT_EQ(out, 1);
-  ASSERT_TRUE(ch.try_receive(10.0, out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(ch.try_receive(10.0, out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(ch.try_receive(10.0, out));
-}
-
-TEST(Channel, InFlightCountInvariant) {
-  // in_flight() == sends - successful receives, at every step; a failed
-  // receive never perturbs the count.
-  Channel<int> ch;
-  std::size_t sent = 0, received = 0;
-  for (int i = 0; i < 8; ++i) {
-    ch.send(0.0, 10.0 * (8 - i), i);  // decreasing latencies
-    ++sent;
-    EXPECT_EQ(ch.in_flight(), sent - received);
-  }
-  int out;
-  EXPECT_FALSE(ch.try_receive(5.0, out));  // nothing due yet
-  EXPECT_EQ(ch.in_flight(), sent - received);
-  while (ch.try_receive(1e9, out)) {
-    ++received;
-    EXPECT_EQ(ch.in_flight(), sent - received);
-  }
-  EXPECT_EQ(received, sent);
-  EXPECT_EQ(ch.in_flight(), 0u);
 }
 
 TEST(Link, CongestionTailFiresAtApproxProbability) {

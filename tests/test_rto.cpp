@@ -11,6 +11,7 @@
 #include "net/faults.hpp"
 #include "net/link.hpp"
 #include "net/rto.hpp"
+#include "net/send_queue.hpp"
 #include "runtime/rng.hpp"
 #include "scene/presets.hpp"
 
@@ -144,12 +145,18 @@ TEST(FaultThrottle, FullProbabilityConsumesNoRandomness) {
 
 TEST(FaultThrottle, ChannelStretchesDeliveryNotDrops) {
   FaultInjector inj(FaultScript::throttle(0.0, 1e9, 10.0), rt::Rng(6));
-  Channel<int> ch;
-  ASSERT_TRUE(ch.send(0.0, 10.0, 7, inj));  // nominal 10 ms -> 100 ms
-  int out = 0;
-  EXPECT_FALSE(ch.try_receive(50.0, out));  // still in flight
-  ASSERT_TRUE(ch.try_receive(100.0, out));
-  EXPECT_EQ(out, 7);
+  LinkProfile link;  // jitter- and congestion-free: transit is 10 ms
+  link.base_latency_ms = 10.0;
+  link.jitter_ms = 0.0;
+  link.congestion_probability = 0.0;
+  SendQueue q(link, rt::Rng(6));
+  const auto out = q.enqueue(0.0, 0, inj);  // nominal 10 ms -> 100 ms
+  EXPECT_FALSE(out.fate.drop);
+  EXPECT_DOUBLE_EQ(out.deliver_ms, 100.0);
+  EXPECT_EQ(q.in_flight(50.0), 1);  // still in flight
+  EXPECT_EQ(q.in_flight(100.0), 0);
+  EXPECT_EQ(inj.stats().throttled, 1);
+  EXPECT_EQ(inj.stats().total_lost(), 0);
 }
 
 TEST(DuplexFaults, SymmetricConversionMirrorsWindows) {
