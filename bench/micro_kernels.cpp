@@ -6,7 +6,6 @@
 #include <cstring>
 #include <vector>
 
-#include "features/klt.hpp"
 #include "features/matcher.hpp"
 #include "features/orb.hpp"
 #include "mask/mask.hpp"
@@ -130,26 +129,6 @@ static void BM_WindowedMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowedMatch)->Unit(benchmark::kMillisecond);
-
-static void BM_KltTrack(benchmark::State& state) {
-  scene::SceneSimulator sim(scene::make_davis_scene(42, 10));
-  const auto f0 = sim.render(0);
-  const auto f1 = sim.render(1);
-  feat::OrbExtractor orb;
-  const auto feats = orb.extract(f0.intensity);
-  std::vector<img::GrayImage> prev_pyr, cur_pyr;
-  img::build_blurred_pyramid_into(f0.intensity, orb.options().pyramid_levels,
-                                  prev_pyr);
-  img::build_blurred_pyramid_into(f1.intensity, orb.options().pyramid_levels,
-                                  cur_pyr);
-  std::vector<geom::Vec2> pts;
-  pts.reserve(feats.size());
-  for (const auto& f : feats) pts.push_back(f.kp.pixel);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::track_features(prev_pyr, cur_pyr, pts));
-  }
-}
-BENCHMARK(BM_KltTrack)->Unit(benchmark::kMillisecond);
 
 static void BM_SceneRender(benchmark::State& state) {
   scene::SceneSimulator sim(scene::make_davis_scene(42, 10));

@@ -167,19 +167,9 @@ int main(int argc, char** argv) {
   scene::SceneSimulator sim(scene_cfg);
   rt::Tracer tracer;
   const bool tracing = !trace_path.empty();
-  // With --metrics, the edgeIS pipeline streams its ledger counters, RTT
-  // estimator gauges and the mask-staleness sketch into the registry live
-  // (pre-registered handles, no per-event lookups); the remaining summary
-  // fields are filled in after the run below.
-  rt::MetricsRegistry reg;
-  auto* eis_live = metrics_path.empty()
-                       ? nullptr
-                       : dynamic_cast<core::EdgeISPipeline*>(pipeline.get());
-  if (eis_live != nullptr) eis_live->set_metrics(&reg);
   const auto r =
       core::run_pipeline(sim, *pipeline, /*warmup_frames=*/45,
                          /*memory_sample=*/10, tracing ? &tracer : nullptr);
-  if (eis_live != nullptr) eis_live->set_metrics(nullptr);
 
   std::printf("system=%s dataset=%s link=%s frames=%d seed=%llu\n",
               pipeline->name().c_str(), dataset.c_str(), link.c_str(),
@@ -218,6 +208,7 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
+    rt::MetricsRegistry reg;
     reg.gauge_set("mean_iou", r.summary.mean_iou);
     reg.gauge_set("false_rate_strict", r.summary.false_rate_strict);
     reg.gauge_set("false_rate_loose", r.summary.false_rate_loose);
@@ -229,11 +220,11 @@ int main(int argc, char** argv) {
     reg.counter_add("tx_bytes", static_cast<double>(r.total_tx_bytes));
     reg.counter_add("peak_memory_bytes",
                     static_cast<double>(r.peak_memory_bytes));
-    if (eis_live != nullptr) {
-      // The ledger counters, srtt/rto gauges and the staleness sketch
-      // were streamed live through set_metrics during the run; only the
-      // fields without live handles are filled from the health summary.
-      const auto h = eis_live->link_health();
+    if (auto* eis = dynamic_cast<core::EdgeISPipeline*>(pipeline.get())) {
+      // The ledger counters, srtt/rto gauges and the staleness sketch,
+      // plus four health fields the fleet registry does not carry.
+      const auto h = eis->link_health();
+      rt::publish(h, reg);
       reg.counter_add("uplink_drops", h.uplink_drops);
       reg.counter_add("downlink_drops", h.downlink_drops);
       reg.gauge_set("time_in_degraded_ms", h.time_in_degraded_ms);

@@ -259,7 +259,7 @@ void EdgeServer::emit_batched(int frame_index, int attempt, int width,
     r.stats = result.stats;
     r.chunk_index = static_cast<int>(i);
     r.chunk_count = static_cast<int>(chunks.size());
-    r.payload_bytes = net::wire_bytes(chunk);
+    r.payload_bytes = net::Codec::wire_bytes(chunk);
 
     CachedChunk cc;
     cc.wire_bytes = r.payload_bytes;

@@ -6,23 +6,12 @@
 
 #include "core/local_trackers.hpp"
 #include "encoding/tiles.hpp"
-#include "features/klt.hpp"
 #include "features/matcher.hpp"
 #include "net/link.hpp"
 #include "net/protocol.hpp"
 #include "runtime/log.hpp"
 
 namespace edgeis::core {
-
-namespace {
-
-/// Null-safe handle bump: live-metrics pointers are null when no registry
-/// is attached, and the increments sit on ledger hot paths.
-inline void bump(rt::Counter* counter) {
-  if (counter != nullptr) counter->add();
-}
-
-}  // namespace
 
 EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
                                PipelineConfig config)
@@ -47,34 +36,6 @@ EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
 }
 
 EdgeISPipeline::~EdgeISPipeline() = default;
-
-void EdgeISPipeline::set_metrics(rt::MetricsRegistry* metrics) {
-  live_ = LiveMetrics();
-  if (metrics == nullptr) return;
-  live_.requests_sent = &metrics->counter_handle("requests_sent");
-  live_.retransmissions = &metrics->counter_handle("retransmissions");
-  live_.attempt_timeouts = &metrics->counter_handle("attempt_timeouts");
-  live_.requests_failed = &metrics->counter_handle("requests_failed");
-  live_.responses_received = &metrics->counter_handle("responses_received");
-  live_.stale_responses = &metrics->counter_handle("stale_responses");
-  live_.spurious_retransmissions =
-      &metrics->counter_handle("spurious_retransmissions");
-  live_.chunks_received = &metrics->counter_handle("chunks_received");
-  live_.duplicate_chunks = &metrics->counter_handle("duplicate_chunks");
-  live_.partial_applies = &metrics->counter_handle("partial_applies");
-  live_.resend_requests = &metrics->counter_handle("resend_requests");
-  live_.admission_rejects = &metrics->counter_handle("admission_rejects");
-  live_.busy_pings = &metrics->counter_handle("busy_pings");
-  live_.probes_sent = &metrics->counter_handle("probes_sent");
-  live_.degraded_entries = &metrics->counter_handle("degraded_entries");
-  live_.degraded_frames = &metrics->counter_handle("degraded_frames");
-  live_.refresh_requests = &metrics->counter_handle("refresh_requests");
-  live_.canvas_deltas = &metrics->counter_handle("canvas_deltas");
-  live_.canvas_resyncs = &metrics->counter_handle("canvas_resyncs");
-  live_.srtt_ms = &metrics->gauge_handle("srtt_ms");
-  live_.rto_ms = &metrics->gauge_handle("rto_ms");
-  live_.mask_staleness_ms = &metrics->sketch_handle("mask_staleness_ms");
-}
 
 std::vector<segnet::OracleInstance> EdgeISPipeline::build_oracle(
     const scene::RenderedFrame& frame) const {
@@ -114,7 +75,6 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
         });
     if (entry == ledger_.end()) {
       ++health_.stale_responses;
-      bump(live_.stale_responses);
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "stale_response", now_ms,
                          {{"request", resp.frame_index},
@@ -133,7 +93,6 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
     if (resp.rejected) {
       if (resp.is_ping) {
         ++health_.busy_pings;
-        bump(live_.busy_pings);
         if (tracer_ != nullptr) {
           tracer_->instant(rt::track::kLedger, "ping_busy", now_ms,
                            {{"request", resp.frame_index}});
@@ -142,7 +101,6 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
         continue;
       }
       ++health_.admission_rejects;
-      bump(live_.admission_rejects);
       rto_.on_timeout();
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "admission_reject", now_ms,
@@ -164,7 +122,6 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
     // (bootstrap uploads are always full keyframes).
     if (resp.canvas_resync) {
       ++health_.canvas_resyncs;
-      bump(live_.canvas_resyncs);
       rto_.reset_backoff();
       if (uplink_encoder_ != nullptr) uplink_encoder_->mark_diverged();
       if (phase_ == Phase::kRunning) force_refresh_ = true;
@@ -188,7 +145,6 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
     // trip. Resent chunks answer a retransmitted request — never sampled.
     if (resp.attempt < entry->attempt) {
       ++health_.spurious_retransmissions;
-      bump(live_.spurious_retransmissions);
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "spurious_retransmission",
                          now_ms, {{"request", resp.frame_index}});
@@ -225,7 +181,6 @@ void EdgeISPipeline::deliver_due_responses(double now_ms) {
       }
       ledger_.erase(entry);
       ++health_.responses_received;
-      bump(live_.responses_received);
       continue;
     }
     accept_chunk(entry, resp, now_ms);
@@ -244,7 +199,6 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
       e.chunk_have[static_cast<std::size_t>(resp.chunk_index)]) {
     // Downlink duplicate or a resend racing the original: idempotent.
     ++health_.duplicate_chunks;
-    bump(live_.duplicate_chunks);
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "duplicate_chunk", now_ms,
                        {{"request", resp.frame_index},
@@ -255,7 +209,6 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
   e.chunk_have[static_cast<std::size_t>(resp.chunk_index)] = true;
   ++e.chunks_received;
   ++health_.chunks_received;
-  bump(live_.chunks_received);
   e.stats = resp.stats;
   e.response_bytes += resp.payload_bytes;
   if (resp.is_resend) e.resent_bytes += resp.payload_bytes;
@@ -292,7 +245,6 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
     last_annotation_ms_ = now_ms;
     if (!complete) {
       ++health_.partial_applies;
-      bump(live_.partial_applies);
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "partial_apply", now_ms,
                          {{"frame", e.frame_index},
@@ -336,7 +288,6 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
     }
     ledger_.erase(it);
     ++health_.responses_received;
-    bump(live_.responses_received);
     try_initialize();
     return true;
   }
@@ -355,7 +306,6 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
   }
   ledger_.erase(it);
   ++health_.responses_received;
-  bump(live_.responses_received);
   return true;
 }
 
@@ -383,9 +333,8 @@ void EdgeISPipeline::send_attempt(LedgerEntry& e, double now_ms) {
         missing.push_back(i);
       }
     }
-    const std::size_t bytes = net::wire_bytes(req);
+    const std::size_t bytes = net::Codec::wire_bytes(req);
     ++health_.resend_requests;
-    bump(live_.resend_requests);
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "resend_missing", now_ms,
                        {{"request", e.request_id},
@@ -469,8 +418,6 @@ void EdgeISPipeline::queue_response_with_faults(EdgeServer::Response r) {
 }
 
 void EdgeISPipeline::trace_rto_counters(double now_ms) const {
-  if (live_.srtt_ms != nullptr) live_.srtt_ms->set(rto_.srtt_ms());
-  if (live_.rto_ms != nullptr) live_.rto_ms->set(rto_.rto_ms());
   if (tracer_ == nullptr) return;
   tracer_->counter(rt::track::kLedger, "srtt_ms", now_ms, rto_.srtt_ms());
   tracer_->counter(rt::track::kLedger, "rttvar_ms", now_ms,
@@ -488,7 +435,6 @@ void EdgeISPipeline::service_ledger(double now_ms) {
       if (now_ms >= e.resend_at_ms) {
         ++e.attempt;
         ++health_.retransmissions;
-        bump(live_.retransmissions);
         if (tracer_ != nullptr) {
           tracer_->instant(rt::track::kLedger, "retransmit", now_ms,
                            {{"request", e.request_id},
@@ -500,7 +446,6 @@ void EdgeISPipeline::service_ledger(double now_ms) {
     }
     if (now_ms < e.deadline_ms) continue;
     ++health_.attempt_timeouts;
-    bump(live_.attempt_timeouts);
     // Inflate the RTO: the next attempt (of any request) waits longer
     // before concluding loss. Any response deflates it again.
     rto_.on_timeout();
@@ -518,7 +463,6 @@ void EdgeISPipeline::service_ledger(double now_ms) {
       e.dead = true;
       if (!e.is_ping) {
         ++health_.requests_failed;
-        bump(live_.requests_failed);
         // A dead canvas upload may or may not have reached the edge; the
         // mirror can no longer be trusted to match — force a full resync.
         if (e.uplink_kind != UplinkKind::kLegacy &&
@@ -546,7 +490,6 @@ void EdgeISPipeline::service_ledger(double now_ms) {
   if (!degraded_ && rto_.backoff() >= config_.degraded_entry_rto_inflation) {
     degraded_ = true;
     ++health_.degraded_entries;
-    bump(live_.degraded_entries);
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "degraded.enter", now_ms,
                        {{"rto_backoff", rto_.backoff()},
@@ -566,7 +509,6 @@ void EdgeISPipeline::service_ledger(double now_ms) {
       if (e.is_init) {
         e.dead = true;
         ++health_.requests_failed;
-        bump(live_.requests_failed);
         init_failed = true;
       } else {
         e.abandoned = true;
@@ -863,7 +805,6 @@ std::size_t EdgeISPipeline::transmit(
   std::erase_if(ledger_, [&](const LedgerEntry& e) {
     if (!e.abandoned) return false;
     ++health_.requests_failed;
-    bump(live_.requests_failed);
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "superseded", now_ms,
                        {{"request", e.request_id}});
@@ -913,7 +854,6 @@ std::size_t EdgeISPipeline::transmit(
       entry.uplink_kind = UplinkKind::kCanvasDelta;
       entry.canvas_delta = plan.delta;
       ++health_.canvas_deltas;
-      bump(live_.canvas_deltas);
       health_.canvas_tiles_sent += plan.tiles_sent;
       health_.canvas_tiles_reused += plan.tiles_reused;
     } else {
@@ -932,7 +872,6 @@ std::size_t EdgeISPipeline::transmit(
   }
   const std::size_t tx_bytes = entry.bytes;
   ++health_.requests_sent;
-  bump(live_.requests_sent);
   send_attempt(entry, now_ms);
   ledger_.push_back(std::move(entry));
   last_tx_frame_ = frame.index;
@@ -990,7 +929,6 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   if (degraded_) {
     health_.time_in_degraded_ms += now_ms - prev_frame_ms_;
     ++health_.degraded_frames;
-    bump(live_.degraded_frames);
   }
   // Drain the edge's completed work into the downlink queue in completion
   // order (the queue's serializer needs admissions in time order), then
@@ -1015,7 +953,6 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
       ping.is_ping = true;
       ping.bytes = 64;
       ++health_.probes_sent;
-      bump(live_.probes_sent);
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "degraded.probe", now_ms,
                          {{"request", ping.request_id}});
@@ -1028,52 +965,13 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   }
   prev_frame_ms_ = now_ms;
 
-  // ---------------- Mobile front end: extract or KLT-track. --------------
-  // With klt_non_keyframes on, non-keyframe frames displace the previous
-  // frame's features by pyramidal KLT instead of re-running the full ORB
-  // extract. Keyframe-due frames, bootstrap, relocalization, and any frame
-  // whose predecessor's pyramid is unavailable fall back to extraction.
-  std::vector<feat::Feature> features;
-  bool features_tracked = false;
-  double frontend_ms = 0.0;
-  const bool klt_eligible =
-      config_.klt_non_keyframes && phase_ == Phase::kRunning &&
-      tracker_ != nullptr && !prev_features_.empty() &&
-      klt_prev_frame_ == frame.index - 1 && !klt_prev_pyr_.empty() &&
-      !tracker_->wants_fresh_features(frame.index);
-  if (klt_eligible) {
-    img::build_blurred_pyramid_into(
-        frame.intensity, orb_.options().pyramid_levels, klt_cur_pyr_);
-    std::vector<geom::Vec2> pts;
-    pts.reserve(prev_features_.size());
-    for (const auto& f : prev_features_) pts.push_back(f.kp.pixel);
-    const auto tracked = feat::track_features(klt_prev_pyr_, klt_cur_pyr_, pts);
-    features.reserve(pts.size());
-    for (std::size_t i = 0; i < tracked.size(); ++i) {
-      if (!tracked[i].ok) continue;
-      feat::Feature f = prev_features_[i];
-      f.kp.pixel = tracked[i].point;
-      features.push_back(f);
-    }
-    // Survival gate: heavy churn means the motion outran the solver
-    // window — re-detect rather than track a decimated feature set.
-    if (features.size() >= 24 && features.size() * 2 >= pts.size()) {
-      features_tracked = true;
-      frontend_ms = cost_model_.klt_track_base_ms +
-                    cost_model_.klt_track_us_per_feature *
-                        static_cast<double>(pts.size()) / 1000.0;
-      stage("klt_track", frontend_ms,
-            {{"tracked", features.size()}, {"attempted", pts.size()}});
-    }
-  }
-  if (!features_tracked) {
-    features = orb_.extract(frame.intensity);
-    if (config_.klt_non_keyframes) orb_.take_pyramid(klt_cur_pyr_);
-    frontend_ms = cost_model_.feature_extract_base_ms +
-                  cost_model_.feature_extract_us_per_feature *
-                      static_cast<double>(features.size()) / 1000.0;
-    stage("extract", frontend_ms, {{"features", features.size()}});
-  }
+  // ---------------- Mobile front end: ORB extraction. --------------------
+  std::vector<feat::Feature> features = orb_.extract(frame.intensity);
+  const double frontend_ms =
+      cost_model_.feature_extract_base_ms +
+      cost_model_.feature_extract_us_per_feature *
+          static_cast<double>(features.size()) / 1000.0;
+  stage("extract", frontend_ms, {{"features", features.size()}});
   double latency_ms = frontend_ms + cost_model_.render_ms;
 
   // ---------------- Bootstrap / await phases. ----------------------------
@@ -1108,7 +1006,6 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
         entry.bytes = encoded.total_bytes;
         entry.request = std::move(req);
         ++health_.requests_sent;
-        bump(live_.requests_sent);
         send_attempt(entry, now_ms);
         ledger_.push_back(std::move(entry));
         out.tx_bytes += encoded.total_bytes;
@@ -1148,8 +1045,7 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     tracker_->set_initial_poses(prev_est, now_est);
     just_initialized_ = false;
   }
-  vo::FrameObservation obs =
-      tracker_->track(frame.index, std::move(features), features_tracked);
+  vo::FrameObservation obs = tracker_->track(frame.index, std::move(features));
   out.tracking_ok = obs.tracking_ok;
   if (!obs.tracking_ok) {
     rt::Log::debug(rt::LogSub::kCore,
@@ -1332,7 +1228,6 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
     full_frame_refresh_ = true;
     force_refresh_ = false;
     ++health_.refresh_requests;
-    bump(live_.refresh_requests);
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "recovery_refresh", now_ms, {});
     }
@@ -1410,15 +1305,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
 
   if (last_annotation_ms_ >= 0.0) {
     health_.mask_staleness_ms.add(now_ms - last_annotation_ms_);
-    if (live_.mask_staleness_ms != nullptr) {
-      live_.mask_staleness_ms->add(now_ms - last_annotation_ms_);
-    }
   }
   prev_features_ = obs.features;
-  if (config_.klt_non_keyframes) {
-    klt_prev_pyr_.swap(klt_cur_pyr_);
-    klt_prev_frame_ = frame.index;
-  }
   out.map_memory_bytes = map_.memory_bytes();
   out.mobile_latency_ms = latency_ms;
   out.rendered_masks = render_queue_.push_and_render(

@@ -14,7 +14,6 @@
 #include "core/render_queue.hpp"
 #include "features/orb.hpp"
 #include "net/faults.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/stats.hpp"
 #include "scene/scene.hpp"
 #include "transfer/mask_transfer.hpp"
@@ -58,13 +57,6 @@ class EdgeISPipeline : public Pipeline {
   /// counters of both injectors. Deterministic for a fixed seed + script.
   [[nodiscard]] rt::LinkHealthStats link_health() const;
 
-  /// Attach a live metrics registry: the ledger / degraded-mode counters
-  /// are bumped as they happen through handles pre-registered once here
-  /// (plain pointer bumps on the hot path, no per-event name lookups),
-  /// per-frame mask staleness feeds a bounded quantile sketch, and the
-  /// RTO estimator state is exported as gauges. Nullptr detaches.
-  /// Non-owning; attach before the run.
-  void set_metrics(rt::MetricsRegistry* metrics);
   [[nodiscard]] bool degraded() const { return degraded_; }
   [[nodiscard]] int bootstrap_attempts() const { return bootstrap_attempts_; }
 
@@ -200,32 +192,6 @@ class EdgeISPipeline : public Pipeline {
   scene::SceneConfig scene_config_;
   PipelineConfig config_;
   rt::Tracer* tracer_ = nullptr;  // non-owning; null = tracing off
-  /// Pre-registered metric handles (set_metrics); all null when detached.
-  struct LiveMetrics {
-    rt::Counter* requests_sent = nullptr;
-    rt::Counter* retransmissions = nullptr;
-    rt::Counter* attempt_timeouts = nullptr;
-    rt::Counter* requests_failed = nullptr;
-    rt::Counter* responses_received = nullptr;
-    rt::Counter* stale_responses = nullptr;
-    rt::Counter* spurious_retransmissions = nullptr;
-    rt::Counter* chunks_received = nullptr;
-    rt::Counter* duplicate_chunks = nullptr;
-    rt::Counter* partial_applies = nullptr;
-    rt::Counter* resend_requests = nullptr;
-    rt::Counter* admission_rejects = nullptr;
-    rt::Counter* busy_pings = nullptr;
-    rt::Counter* probes_sent = nullptr;
-    rt::Counter* degraded_entries = nullptr;
-    rt::Counter* degraded_frames = nullptr;
-    rt::Counter* refresh_requests = nullptr;
-    rt::Counter* canvas_deltas = nullptr;
-    rt::Counter* canvas_resyncs = nullptr;
-    rt::Gauge* srtt_ms = nullptr;
-    rt::Gauge* rto_ms = nullptr;
-    rt::QuantileSketch* mask_staleness_ms = nullptr;
-  };
-  LiveMetrics live_;
   // End of the previous frame's span: a frame whose latency exceeds the
   // frame interval pushes the next span later (the device is still busy),
   // keeping mobile-track B/E spans non-overlapping and in ts order.
@@ -289,15 +255,6 @@ class EdgeISPipeline : public Pipeline {
   geom::SE3 init_pose_;
   int init_pose_frame_ = 0;
   std::vector<segnet::InferenceStats> edge_stats_;
-
-  // KLT front-end state (config_.klt_non_keyframes): pyramids of the
-  // previous and current frame, swapped each frame so the buffers are
-  // reused. `klt_prev_frame_` guards against stale pyramids across
-  // bootstrap returns and tracker resets — KLT only engages when the
-  // stored pyramid belongs to the immediately preceding frame.
-  std::vector<img::GrayImage> klt_prev_pyr_;
-  std::vector<img::GrayImage> klt_cur_pyr_;
-  int klt_prev_frame_ = -1000;
 
   // Fallback local tracking state for the MAMT-off ablation and for the
   // per-object continuity fallback.

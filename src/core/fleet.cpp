@@ -87,7 +87,6 @@ FleetResult run_fleet(const FleetConfig& config, rt::Tracer* tracer) {
     }
     c.slo = rt::SloTracker(config.staleness_slo_ms);
     c.pipeline->set_tracer(tracer);
-    c.pipeline->set_metrics(config.metrics);
     clients.push_back(std::move(c));
   }
 
@@ -131,7 +130,6 @@ FleetResult run_fleet(const FleetConfig& config, rt::Tracer* tracer) {
   for (std::size_t ci = 0; ci < clients.size(); ++ci) {
     auto& c = clients[ci];
     c.pipeline->set_tracer(nullptr);
-    c.pipeline->set_metrics(nullptr);
     // The last frame's state dwells one frame interval before the run
     // ends; attribute that tail before reading the summary.
     c.slo.finish(c.last_frame_ms + 1000.0 / c.sim->config().fps);
@@ -148,6 +146,7 @@ FleetResult run_fleet(const FleetConfig& config, rt::Tracer* tracer) {
     out.slo.violation_frames += r.slo.violation_frames;
     out.slo.violations += r.slo.violations;
     if (config.metrics != nullptr) {
+      rt::publish(r.health, *config.metrics);
       char key[64];
       std::snprintf(key, sizeof(key), "client%03zu.slo_violations", ci);
       config.metrics->gauge_set(key, r.slo.violations);

@@ -45,9 +45,11 @@ struct FleetConfig {
   /// but a sink is set, an internal silent tracer drives it (events flow
   /// to the sink; nothing is retained). Non-owning.
   rt::Tracer::EventSink* sink = nullptr;
-  /// Live metrics registry shared by every client: ledger counters become
-  /// fleet totals, the staleness sketch pools all clients, and per-client
-  /// SLO gauges land under client<i>. keys. Non-owning; may be null.
+  /// Metrics registry shared by every client, filled after the run: each
+  /// client's LinkHealthStats is published into it (ledger counters become
+  /// fleet totals, the staleness sketch pools all clients client by
+  /// client), and per-client SLO gauges land under client<i>. keys.
+  /// Non-owning; may be null.
   rt::MetricsRegistry* metrics = nullptr;
   /// Staleness SLO fed to each client's SloTracker.
   double staleness_slo_ms = kStaleThresholdMs;

@@ -32,14 +32,6 @@ struct PipelineConfig {
   bool enable_ciia = true;  // contour instructed inference acceleration
   bool enable_cfrs = true;  // content-based fine-grained RoI selection
 
-  // Mobile front-end: on non-keyframes, displace the previous frame's
-  // features with pyramidal KLT instead of re-running the full ORB
-  // extract ("track, don't re-detect"). Keyframes, bootstrap frames and
-  // relocalization always re-extract so map growth sees fresh detections.
-  // Off by default: the headline figures are produced with per-frame
-  // extraction, matching the paper's mobile pipeline.
-  bool klt_non_keyframes = false;
-
   // Uplink encoding: tile geometry, full-vs-delta mode, and the delta
   // encoder's canvas/skip/congestion policy (encoding/uplink_encoder.hpp).
   // The default (UplinkMode::kFull) reproduces the pre-canvas send path

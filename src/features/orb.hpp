@@ -27,22 +27,6 @@ class OrbExtractor {
   /// fresh extractor).
   [[nodiscard]] std::vector<Feature> extract(const img::GrayImage& image) const;
 
-  /// The blurred pyramid of the most recent extract() call; valid until
-  /// the next call. The KLT front end tracks over the same pyramid the
-  /// descriptors were computed on.
-  [[nodiscard]] const std::vector<img::GrayImage>& last_pyramid() const {
-    return pyramid_;
-  }
-
-  /// Swap the most recent pyramid into `dst` (and adopt dst's buffers as
-  /// the next extract's scratch). Lets the KLT front end keep the
-  /// keyframe pyramid alive without copying it.
-  void take_pyramid(std::vector<img::GrayImage>& dst) const {
-    dst.swap(pyramid_);
-  }
-
-  [[nodiscard]] const OrbOptions& options() const { return opts_; }
-
  private:
   OrbOptions opts_;
   BriefDescriptorExtractor brief_;

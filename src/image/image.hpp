@@ -107,8 +107,7 @@ GrayImage downsample2(const GrayImage& src);
 std::vector<GrayImage> build_pyramid(const GrayImage& src, int levels);
 
 /// In-place variants reusing the caller's buffers (frame-scratch reuse:
-/// the extractor and the KLT front end rebuild the same pyramid every
-/// frame).
+/// the ORB extractor rebuilds the same pyramid every frame).
 void box_blur3_into(const GrayImage& src, GrayImage& dst);
 void downsample2_into(const GrayImage& src, GrayImage& dst);
 

@@ -223,49 +223,6 @@ class ChunkAssembler {
   std::vector<bool> have_;
 };
 
-// Thin legacy wrappers over net::Codec — kept one release so call sites
-// migrate mechanically; new code should use Codec::encode / Codec::decode
-// / Codec::wire_bytes directly. Parsing throws rt::DeserializeError on
-// malformed input (truncated or corrupt messages).
-inline std::vector<std::uint8_t> serialize(const KeyframeMessage& msg) {
-  return Codec::encode(msg);
-}
-inline KeyframeMessage parse_keyframe(std::span<const std::uint8_t> bytes) {
-  return Codec::decode<KeyframeMessage>(bytes);
-}
-inline std::vector<std::uint8_t> serialize(const MaskResultMessage& msg) {
-  return Codec::encode(msg);
-}
-inline MaskResultMessage parse_mask_result(
-    std::span<const std::uint8_t> bytes) {
-  return Codec::decode<MaskResultMessage>(bytes);
-}
-inline std::vector<std::uint8_t> serialize(const MaskChunkMessage& msg) {
-  return Codec::encode(msg);
-}
-inline MaskChunkMessage parse_mask_chunk(std::span<const std::uint8_t> bytes) {
-  return Codec::decode<MaskChunkMessage>(bytes);
-}
-inline std::vector<std::uint8_t> serialize(const ResendRequestMessage& msg) {
-  return Codec::encode(msg);
-}
-inline ResendRequestMessage parse_resend_request(
-    std::span<const std::uint8_t> bytes) {
-  return Codec::decode<ResendRequestMessage>(bytes);
-}
-inline std::size_t wire_bytes(const KeyframeMessage& msg) {
-  return Codec::wire_bytes(msg);
-}
-inline std::size_t wire_bytes(const MaskResultMessage& msg) {
-  return Codec::wire_bytes(msg);
-}
-inline std::size_t wire_bytes(const MaskChunkMessage& msg) {
-  return Codec::wire_bytes(msg);
-}
-inline std::size_t wire_bytes(const ResendRequestMessage& msg) {
-  return Codec::wire_bytes(msg);
-}
-
 /// Build the uplink message for an encoded frame + CIIA priors.
 KeyframeMessage build_keyframe_message(
     const enc::EncodedFrame& encoded,

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runtime/rng.hpp"
@@ -448,6 +449,41 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, QuantileSketch> histograms_;
 };
+
+/// Export one session's LinkHealthStats into `reg`: the ledger and
+/// degraded-mode counters (added, zeros included, so a registry shared by
+/// a fleet sums them), the RTT estimator's srtt/rto as gauges (last
+/// writer wins), and every mask-staleness sample into the
+/// `mask_staleness_ms` sketch. Call once per session after its run;
+/// LinkHealthStats stays the only source of these numbers.
+inline void publish(const LinkHealthStats& h, MetricsRegistry& reg) {
+  const std::pair<const char*, int> counters[] = {
+      {"requests_sent", h.requests_sent},
+      {"retransmissions", h.retransmissions},
+      {"attempt_timeouts", h.attempt_timeouts},
+      {"requests_failed", h.requests_failed},
+      {"responses_received", h.responses_received},
+      {"stale_responses", h.stale_responses},
+      {"spurious_retransmissions", h.spurious_retransmissions},
+      {"chunks_received", h.chunks_received},
+      {"duplicate_chunks", h.duplicate_chunks},
+      {"partial_applies", h.partial_applies},
+      {"resend_requests", h.resend_requests},
+      {"admission_rejects", h.admission_rejects},
+      {"busy_pings", h.busy_pings},
+      {"probes_sent", h.probes_sent},
+      {"degraded_entries", h.degraded_entries},
+      {"degraded_frames", h.degraded_frames},
+      {"refresh_requests", h.refresh_requests},
+      {"canvas_deltas", h.canvas_deltas},
+      {"canvas_resyncs", h.canvas_resyncs},
+  };
+  for (const auto& [name, value] : counters) reg.counter_add(name, value);
+  reg.gauge_set("srtt_ms", h.srtt_ms);
+  reg.gauge_set("rto_ms", h.rto_ms);
+  QuantileSketch& staleness = reg.sketch_handle("mask_staleness_ms");
+  for (double x : h.mask_staleness_ms.samples()) staleness.add(x);
+}
 
 namespace detail {
 

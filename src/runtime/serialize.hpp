@@ -39,7 +39,9 @@ class ByteWriter {
     put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
     const auto old = buf_.size();
     buf_.resize(old + s.size());
-    std::memcpy(buf_.data() + old, s.data(), s.size());
+    // memcpy with a null source is UB even for zero bytes, and an empty
+    // string_view or vector may hand out a null data().
+    if (!s.empty()) std::memcpy(buf_.data() + old, s.data(), s.size());
   }
 
   template <typename T>
@@ -48,7 +50,9 @@ class ByteWriter {
     put<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
     const auto old = buf_.size();
     buf_.resize(old + v.size() * sizeof(T));
-    std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
+    if (!v.empty()) {
+      std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
+    }
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
@@ -99,7 +103,7 @@ class ByteReader {
     const auto n = get<std::uint32_t>();
     require(static_cast<std::size_t>(n) * sizeof(T));
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    if (n > 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

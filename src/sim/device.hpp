@@ -40,11 +40,6 @@ DeviceProfile dream_glass();  // tethered AR glasses (field study)
 struct MobileCostModel {
   double feature_extract_base_ms = 6.0;
   double feature_extract_us_per_feature = 4.5;
-  // KLT displacement of existing features (non-keyframes when the
-  // klt_non_keyframes front end is on): no detection sweep, no
-  // descriptors — only a small solver window per surviving feature.
-  double klt_track_base_ms = 1.0;
-  double klt_track_us_per_feature = 2.0;
   double track_us_per_matched_point = 12.0;
   double pnp_ms_per_solve = 0.8;
   double transfer_us_per_contour_point = 8.0;

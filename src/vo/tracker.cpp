@@ -19,8 +19,7 @@ Tracker::Tracker(geom::PinholeCamera camera, Map* map, rt::Rng rng,
 }
 
 FrameObservation Tracker::track(int frame_index,
-                                std::vector<feat::Feature> features,
-                                bool features_are_tracked) {
+                                std::vector<feat::Feature> features) {
   FrameObservation obs;
   obs.frame_index = frame_index;
   obs.features = std::move(features);
@@ -182,20 +181,11 @@ FrameObservation Tracker::track(int frame_index,
   const bool decay_due = obs.tracking_ok &&
                          tracked_ratio < opts_.min_tracked_ratio &&
                          frame_index - last_keyframe_frame_ >= 3;
-  if (obs.tracking_ok && (interval_due || decay_due || deferred_keyframe_)) {
-    if (features_are_tracked) {
-      // KLT-displaced features carry stale descriptors and no fresh
-      // detections: a keyframe built from them would triangulate nothing
-      // new. Remember the debt; wants_fresh_features() makes the front
-      // end extract next frame, and the keyframe forms there.
-      deferred_keyframe_ = true;
-    } else {
-      create_keyframe(obs);
-      obs.created_keyframe = true;
-      last_keyframe_frame_ = frame_index;
-      deferred_keyframe_ = false;
-      cull_points(frame_index);
-    }
+  if (obs.tracking_ok && (interval_due || decay_due)) {
+    create_keyframe(obs);
+    obs.created_keyframe = true;
+    last_keyframe_frame_ = frame_index;
+    cull_points(frame_index);
   }
 
   map_->enforce_memory_budget(opts_.memory_budget_bytes, frame_index);

@@ -55,22 +55,7 @@ class Tracker {
           TrackerOptions opts = {});
 
   /// Process one frame. The map must have been initialized (two keyframes).
-  /// `features_are_tracked` marks frames whose features were displaced by
-  /// KLT rather than freshly extracted: their descriptors are carried over
-  /// from the last extraction, so keyframe creation (which triangulates
-  /// new points from fresh detections) is deferred until the next
-  /// fully-extracted frame instead of firing on stale data.
-  FrameObservation track(int frame_index, std::vector<feat::Feature> features,
-                         bool features_are_tracked = false);
-
-  /// Should the front end run a full extraction on `frame_index` (instead
-  /// of KLT-displacing the previous features)? True when a keyframe is due
-  /// or deferred, or when tracking is lost (relocalization widens the
-  /// search window and needs a full detection sweep).
-  [[nodiscard]] bool wants_fresh_features(int frame_index) const {
-    return deferred_keyframe_ || consecutive_lost_ > 0 ||
-           frame_index - last_keyframe_frame_ >= opts_.keyframe_interval;
-  }
+  FrameObservation track(int frame_index, std::vector<feat::Feature> features);
 
   /// Deferred annotation: accurate masks arrived from the edge for a frame
   /// that is stored as a keyframe. Labels the map points observed in that
@@ -103,7 +88,6 @@ class Tracker {
   bool has_history_ = false;
   int last_keyframe_frame_ = 0;
   int consecutive_lost_ = 0;
-  bool deferred_keyframe_ = false;  // keyframe due, waiting for fresh features
 };
 
 }  // namespace edgeis::vo

@@ -9,6 +9,8 @@
 #include "net/faults.hpp"
 #include "net/link.hpp"
 #include "net/send_queue.hpp"
+#include "runtime/metrics.hpp"
+#include "runtime/trace.hpp"
 #include "scene/presets.hpp"
 
 using namespace edgeis;
@@ -374,4 +376,57 @@ TEST(FaultIntegration, DeltaUplinkSeededRunIsReproducible) {
   EXPECT_EQ(ha.canvas_tiles_reused, hb.canvas_tiles_reused);
   EXPECT_DOUBLE_EQ(ra.summary.mean_iou, rb.summary.mean_iou);
   EXPECT_EQ(ra.total_tx_bytes, rb.total_tx_bytes);
+}
+
+// The metrics registry is derived from LinkHealthStats after the run, so
+// attaching a tracer cannot change it. Crowd-outage config (stress-crowd,
+// LTE, Xavier, canvas-delta uplink, blackout 3.0-5.5 s): timeouts, probes
+// and an RTO inflated by backoff all land in the exported numbers.
+TEST(FaultIntegration, PublishedMetricsIgnoreTracerAndMatchLinkHealth) {
+  const auto scfg =
+      scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 180);
+  scene::SceneSimulator sim(scfg);
+  core::PipelineConfig cfg;
+  cfg.link = lte();
+  cfg.edge = sim::jetson_agx_xavier();
+  cfg.faults = FaultScript::outage(3000.0, 5500.0);
+  cfg.probe_interval_frames = 10;
+  cfg.encoding.uplink = enc::UplinkMode::kDelta;
+
+  core::EdgeISPipeline plain(scfg, cfg), traced(scfg, cfg);
+  core::run_pipeline(sim, plain, 75);
+  rt::Tracer tracer;
+  core::run_pipeline(sim, traced, 75, 10, &tracer);
+  ASSERT_GT(tracer.event_count(), 0u);
+
+  const auto h = plain.link_health();
+  ASSERT_GE(h.attempt_timeouts, 1);
+  ASSERT_GE(h.probes_sent, 1);
+  rt::MetricsRegistry reg_plain, reg_traced;
+  rt::publish(h, reg_plain);
+  rt::publish(traced.link_health(), reg_traced);
+  EXPECT_EQ(reg_plain.to_json(), reg_traced.to_json());
+
+  EXPECT_EQ(reg_plain.gauge("rto_ms"), h.rto_ms);
+  EXPECT_EQ(reg_plain.gauge("srtt_ms"), h.srtt_ms);
+  EXPECT_EQ(reg_plain.counter("requests_sent"), h.requests_sent);
+  EXPECT_EQ(reg_plain.counter("attempt_timeouts"), h.attempt_timeouts);
+  EXPECT_EQ(reg_plain.counter("requests_failed"), h.requests_failed);
+  EXPECT_EQ(reg_plain.counter("responses_received"), h.responses_received);
+  EXPECT_EQ(reg_plain.counter("chunks_received"), h.chunks_received);
+  EXPECT_EQ(reg_plain.counter("probes_sent"), h.probes_sent);
+  EXPECT_EQ(reg_plain.counter("degraded_entries"), h.degraded_entries);
+  EXPECT_EQ(reg_plain.counter("degraded_frames"), h.degraded_frames);
+  EXPECT_EQ(reg_plain.counter("refresh_requests"), h.refresh_requests);
+  EXPECT_EQ(reg_plain.counter("canvas_deltas"), h.canvas_deltas);
+  EXPECT_EQ(reg_plain.counter("canvas_resyncs"), h.canvas_resyncs);
+  const auto* staleness = reg_plain.histogram("mask_staleness_ms");
+  ASSERT_NE(staleness, nullptr);
+  EXPECT_EQ(staleness->count(), h.mask_staleness_ms.count());
+  EXPECT_EQ(staleness->max(), h.mask_staleness_ms.max());
+  // 19 counters, 2 gauges, 1 sketch: the names the registry always had.
+  const auto snap = reg_plain.snapshot();
+  EXPECT_EQ(snap.counters.size(), 19u);
+  EXPECT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.histograms.size(), 1u);
 }

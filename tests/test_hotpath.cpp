@@ -1,7 +1,7 @@
 // Equivalence and regression tests for the vectorized mobile hot path:
 // the optimized kernels (batched Hamming matching, row-wise FAST, arena
-// scratch, pyramidal KLT) against their scalar references, plus the
-// matcher's single-candidate ratio-test semantics.
+// scratch) against their scalar references, plus the matcher's
+// single-candidate ratio-test semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 
 #include "features/detector.hpp"
 #include "features/feature.hpp"
-#include "features/klt.hpp"
 #include "features/matcher.hpp"
 #include "features/orb.hpp"
 #include "image/image.hpp"
@@ -58,8 +57,8 @@ img::GrayImage random_image(int w, int h, std::uint64_t seed) {
   return im;
 }
 
-/// Blocky random image: cell borders are FAST-responsive L-corners and
-/// KLT-friendly texture (large coherent gradients, unlike iid noise).
+/// Blocky random image: cell borders are FAST-responsive L-corners with
+/// large coherent gradients, unlike iid noise.
 img::GrayImage blocky_image(int w, int h, int cell, std::uint64_t seed) {
   rt::Rng rng(seed);
   const int cols = (w + cell - 1) / cell;
@@ -76,16 +75,6 @@ img::GrayImage blocky_image(int w, int h, int cell, std::uint64_t seed) {
     }
   }
   return im;
-}
-
-img::GrayImage shifted(const img::GrayImage& src, int dx, int dy) {
-  img::GrayImage out(src.width(), src.height());
-  for (int y = 0; y < src.height(); ++y) {
-    for (int x = 0; x < src.width(); ++x) {
-      out.at(x, y) = src.at_clamped(x - dx, y - dy);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -358,94 +347,4 @@ TEST(Arena, FindContoursStableAcrossScratchReuse) {
     EXPECT_EQ(first[0][i].x, second[0][i].x);
     EXPECT_EQ(first[0][i].y, second[0][i].y);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Pyramidal KLT: recover a known rigid shift, and stay glued to
-// re-detected corners (the drift bound that justifies track-don't-redetect).
-
-TEST(Klt, RecoversIntegerShift) {
-  const auto prev = blocky_image(256, 192, 16, 17);
-  const auto cur = shifted(prev, 5, -3);
-  std::vector<img::GrayImage> prev_pyr, cur_pyr;
-  img::build_blurred_pyramid_into(prev, 3, prev_pyr);
-  img::build_blurred_pyramid_into(cur, 3, cur_pyr);
-
-  // Track the cell corners of the block grid: each 7x7 window there spans
-  // four independently-leveled cells, so both gradient directions are
-  // populated (well-conditioned normal matrix). Stay clear of the image
-  // border so the shifted window remains in-image.
-  std::vector<geom::Vec2> pts;
-  for (int cy = 32; cy <= 160; cy += 16) {
-    for (int cx = 32; cx <= 224; cx += 16) {
-      pts.push_back({static_cast<double>(cx), static_cast<double>(cy)});
-    }
-  }
-  ASSERT_GT(pts.size(), 20u);
-
-  const auto tracked = track_features(prev_pyr, cur_pyr, pts);
-  int ok = 0, accurate = 0;
-  for (std::size_t i = 0; i < tracked.size(); ++i) {
-    if (!tracked[i].ok) continue;
-    ++ok;
-    const double ex = pts[i].x + 5, ey = pts[i].y - 3;
-    if (std::abs(tracked[i].point.x - ex) < 0.5 &&
-        std::abs(tracked[i].point.y - ey) < 0.5) {
-      ++accurate;
-    }
-  }
-  // Most points survive and land within half a pixel of the true shift.
-  EXPECT_GT(ok, static_cast<int>(pts.size()) * 7 / 10);
-  EXPECT_GT(accurate, ok * 8 / 10);
-}
-
-TEST(Klt, DriftStaysBoundedAgainstRedetection) {
-  // Walk an image through 6 one-pixel shifts, tracking continuously, and
-  // compare the tracked positions against fresh detection on the final
-  // frame: accumulated drift must stay sub-pixel for most survivors.
-  const auto base = blocky_image(256, 192, 16, 23);
-  std::vector<img::GrayImage> prev_pyr, cur_pyr;
-  img::build_blurred_pyramid_into(base, 3, prev_pyr);
-
-  // Cell corners again (see RecoversIntegerShift): well-conditioned
-  // windows, wide interior margin for the accumulated shift.
-  std::vector<geom::Vec2> pts, origins;
-  for (int cy = 32; cy <= 160; cy += 16) {
-    for (int cx = 32; cx <= 208; cx += 16) {
-      pts.push_back({static_cast<double>(cx), static_cast<double>(cy)});
-      origins.push_back(pts.back());
-    }
-  }
-  ASSERT_GT(pts.size(), 20u);
-
-  std::vector<bool> alive(pts.size(), true);
-  int total_dx = 0;
-  for (int step = 1; step <= 6; ++step) {
-    total_dx = step;
-    const auto cur = shifted(base, total_dx, 0);
-    img::build_blurred_pyramid_into(cur, 3, cur_pyr);
-    const auto tracked = track_features(prev_pyr, cur_pyr, pts);
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      if (!alive[i]) continue;
-      if (!tracked[i].ok) {
-        alive[i] = false;
-        continue;
-      }
-      pts[i] = tracked[i].point;
-    }
-    prev_pyr.swap(cur_pyr);
-  }
-
-  int survivors = 0, tight = 0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (!alive[i]) continue;
-    ++survivors;
-    // After 6 chained solves the point should sit on origin + (6, 0).
-    if (std::abs(pts[i].x - (origins[i].x + total_dx)) < 1.0 &&
-        std::abs(pts[i].y - origins[i].y) < 1.0) {
-      ++tight;
-    }
-  }
-  EXPECT_GT(survivors, static_cast<int>(pts.size()) / 2);
-  EXPECT_GT(tight, survivors * 3 / 4);
 }

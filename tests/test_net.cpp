@@ -80,8 +80,8 @@ TEST(Protocol, KeyframeRoundTrip) {
   msg.priors.push_back({10, 20, 110, 220, 3, 7});
   msg.new_areas.push_back({0, 0, 64, 64});
 
-  const auto bytes = serialize(msg);
-  const auto parsed = parse_keyframe(bytes);
+  const auto bytes = Codec::encode(msg);
+  const auto parsed = Codec::decode<KeyframeMessage>(bytes);
   EXPECT_EQ(parsed.frame_index, 42);
   EXPECT_EQ(parsed.tile_payload_bytes, 12345u);
   ASSERT_EQ(parsed.priors.size(), 1u);
@@ -94,7 +94,7 @@ TEST(Protocol, KeyframeRoundTrip) {
 TEST(Protocol, KeyframeWireBytesIncludePayload) {
   KeyframeMessage msg;
   msg.tile_payload_bytes = 5000;
-  EXPECT_GT(wire_bytes(msg), 5000u);
+  EXPECT_GT(Codec::wire_bytes(msg), 5000u);
 }
 
 TEST(Protocol, MaskResultRoundTripReconstructs) {
@@ -107,8 +107,8 @@ TEST(Protocol, MaskResultRoundTripReconstructs) {
   m.instance_id = 9;
   const auto msg = build_mask_result(7, 320, 240, {m});
   ASSERT_EQ(msg.instances.size(), 1u);
-  const auto bytes = serialize(msg);
-  const auto parsed = parse_mask_result(bytes);
+  const auto bytes = Codec::encode(msg);
+  const auto parsed = Codec::decode<MaskResultMessage>(bytes);
   const auto rebuilt = reconstruct_masks(parsed);
   ASSERT_EQ(rebuilt.size(), 1u);
   EXPECT_EQ(rebuilt[0].class_id, 4);
@@ -119,15 +119,15 @@ TEST(Protocol, MaskResultRoundTripReconstructs) {
 TEST(Protocol, TruncatedMessageThrows) {
   KeyframeMessage msg;
   msg.tile_classes = {1, 2, 3};
-  auto bytes = serialize(msg);
+  auto bytes = Codec::encode(msg);
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(parse_keyframe(bytes), rt::DeserializeError);
+  EXPECT_THROW(Codec::decode<KeyframeMessage>(bytes), rt::DeserializeError);
 }
 
 TEST(Protocol, WrongMagicRejected) {
   MaskResultMessage msg;
-  const auto bytes = serialize(msg);
-  EXPECT_THROW(parse_keyframe(bytes), rt::DeserializeError);
+  const auto bytes = Codec::encode(msg);
+  EXPECT_THROW(Codec::decode<KeyframeMessage>(bytes), rt::DeserializeError);
 }
 
 TEST(Protocol, BuildFromEncodedFrame) {
@@ -141,7 +141,7 @@ TEST(Protocol, BuildFromEncodedFrame) {
   EXPECT_EQ(msg.tile_classes.size(), encoded.tiles.size());
   EXPECT_EQ(msg.tile_payload_bytes, encoded.total_bytes);
   // Header overhead is small relative to the tile payload.
-  EXPECT_LT(serialize(msg).size(), encoded.total_bytes);
+  EXPECT_LT(Codec::encode(msg).size(), encoded.total_bytes);
 }
 
 // ---- Streamed per-instance chunk framing. ----------------------------------
@@ -173,7 +173,7 @@ TEST(Chunks, RoundTripThroughWireReassembles) {
 
   ChunkAssembler asm_;
   for (const auto& c : chunks) {
-    const auto parsed = parse_mask_chunk(serialize(c));
+    const auto parsed = Codec::decode<MaskChunkMessage>(Codec::encode(c));
     EXPECT_EQ(asm_.accept(parsed), ChunkAssembler::Accept::kApplied);
   }
   ASSERT_TRUE(asm_.complete());
@@ -246,26 +246,27 @@ TEST(Chunks, ResendRequestRoundTripAndSize) {
   ResendRequestMessage req;
   req.frame_index = 12;
   req.chunk_indices = {0, 3, 4};
-  const auto parsed = parse_resend_request(serialize(req));
+  const auto parsed = Codec::decode<ResendRequestMessage>(Codec::encode(req));
   EXPECT_EQ(parsed.frame_index, 12);
   EXPECT_EQ(parsed.chunk_indices, req.chunk_indices);
   // The whole point of resend-by-chunk-index: the request is tiny
   // compared to re-uploading a keyframe or re-sending the response.
   KeyframeMessage kf;
   kf.tile_payload_bytes = 5000;
-  EXPECT_LT(wire_bytes(req), wire_bytes(kf) / 10);
-  EXPECT_THROW(parse_mask_chunk(serialize(req)), rt::DeserializeError);
+  EXPECT_LT(Codec::wire_bytes(req), Codec::wire_bytes(kf) / 10);
+  EXPECT_THROW(Codec::decode<MaskChunkMessage>(Codec::encode(req)),
+               rt::DeserializeError);
 }
 
 TEST(Chunks, PerChunkFramingCarriesHeaderOverhead) {
   const auto msg = two_instance_result();
   const auto chunks = chunk_mask_result(msg);
   std::size_t chunked = 0;
-  for (const auto& c : chunks) chunked += wire_bytes(c);
+  for (const auto& c : chunks) chunked += Codec::wire_bytes(c);
   // Streaming repeats the frame header per chunk; the sum must cover the
   // monolithic encoding but only by a small framing overhead.
-  EXPECT_GT(chunked, wire_bytes(msg));
-  EXPECT_LT(chunked, wire_bytes(msg) + chunks.size() * 64);
+  EXPECT_GT(chunked, Codec::wire_bytes(msg));
+  EXPECT_LT(chunked, Codec::wire_bytes(msg) + chunks.size() * 64);
 }
 
 // ---- Full-duplex send queue. ------------------------------------------------
@@ -454,7 +455,7 @@ TEST(ChunksProperty, AssemblerIdempotentUnderAnyInterleaving) {
     ASSERT_EQ(ordered.accept(c), ChunkAssembler::Accept::kApplied);
   }
   ASSERT_TRUE(ordered.complete());
-  const auto want = serialize(ordered.result());
+  const auto want = Codec::encode(ordered.result());
 
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     rt::Rng rng(seed);
@@ -481,7 +482,7 @@ TEST(ChunksProperty, AssemblerIdempotentUnderAnyInterleaving) {
     EXPECT_EQ(applied, 4);
     ASSERT_TRUE(asm_.complete());
     EXPECT_EQ(asm_.received(), 4);
-    EXPECT_EQ(serialize(asm_.result()), want);
+    EXPECT_EQ(Codec::encode(asm_.result()), want);
     EXPECT_EQ(asm_.arrived_instances(), ordered.arrived_instances());
   }
 }
@@ -593,18 +594,4 @@ TEST(Codec, CorruptMagicAndVersionRejected) {
   bad_version[4] = 99;
   EXPECT_THROW(Codec::decode<DeltaKeyframeMessage>(bad_version),
                rt::DeserializeError);
-}
-
-TEST(Codec, LegacyWrappersAreTheCodec) {
-  KeyframeMessage kf;
-  kf.frame_index = 12;
-  kf.width = 640;
-  kf.height = 480;
-  kf.tile_classes = {0, 1, 2, 3};
-  kf.tile_levels = {0, 2, 3, 1};
-  kf.tile_payload_bytes = 1234;
-  kf.canvas_epoch = 9;
-  EXPECT_EQ(serialize(kf), Codec::encode(kf));
-  EXPECT_EQ(wire_bytes(kf), Codec::wire_bytes(kf));
-  EXPECT_EQ(parse_keyframe(serialize(kf)), kf);
 }

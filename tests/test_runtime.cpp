@@ -108,6 +108,21 @@ TEST(Serialize, RoundTripStringAndVector) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(Serialize, RoundTripEmptyStringAndVector) {
+  // Empty payloads may carry a null data(); the writer and reader must not
+  // hand it to memcpy (UB even for zero bytes; gcc UBSan flags it).
+  rt::ByteWriter w;
+  w.put_string(std::string_view{});
+  w.put_vector<float>({});
+  w.put_vector<std::int32_t>(std::vector<std::int32_t>{});
+  EXPECT_EQ(w.size(), 3 * sizeof(std::uint32_t));
+  rt::ByteReader r(w.bytes());
+  EXPECT_EQ(r.get_string(), "");
+  EXPECT_TRUE(r.get_vector<float>().empty());
+  EXPECT_TRUE(r.get_vector<std::int32_t>().empty());
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Serialize, UnderrunThrows) {
   rt::ByteWriter w;
   w.put<std::uint8_t>(1);
