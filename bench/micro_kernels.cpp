@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the hot kernels: feature detection,
-// description, matching, contour tracing, rasterization, NMS and the
-// anchor generator. These ground the mobile cost model's constants.
+// description, matching, contour tracing, rasterization, ground-truth mask
+// extraction, NMS and the anchor generator. These ground the mobile cost
+// model's constants.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -84,6 +85,18 @@ static void BM_MaskIou(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaskIou)->Unit(benchmark::kMillisecond);
+
+static void BM_GroundTruthMasks(benchmark::State& state) {
+  // Every instance mask of one crowded frame: the per-frame ground-truth
+  // (and model oracle) extraction from the renderer's id buffer.
+  scene::SceneSimulator sim(
+      scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 240));
+  const auto frame = sim.render(120);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.ground_truth_masks(frame));
+  }
+}
+BENCHMARK(BM_GroundTruthMasks)->Unit(benchmark::kMillisecond);
 
 static void BM_FullAnchorGeneration(benchmark::State& state) {
   const auto levels = segnet::default_fpn_levels();

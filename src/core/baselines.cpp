@@ -7,36 +7,6 @@
 #include "features/matcher.hpp"
 
 namespace edgeis::core {
-namespace {
-
-std::unordered_map<int, int> class_table(const scene::SceneConfig& cfg) {
-  std::unordered_map<int, int> table;
-  for (const auto& obj : cfg.objects) {
-    table[obj.instance_id] = static_cast<int>(obj.cls);
-  }
-  return table;
-}
-
-std::vector<segnet::OracleInstance> oracle_from_frame(
-    const scene::RenderedFrame& frame,
-    const std::unordered_map<int, int>& instance_class) {
-  std::vector<segnet::OracleInstance> oracle;
-  for (const auto& [instance_id, class_id] : instance_class) {
-    auto m = mask::mask_from_id_image(frame.instance_ids,
-                                      static_cast<std::uint16_t>(instance_id));
-    if (m.pixel_count() == 0) continue;
-    m.class_id = class_id;
-    segnet::OracleInstance oi;
-    oi.box = *m.bounding_box();
-    oi.class_id = class_id;
-    oi.instance_id = instance_id;
-    oi.mask = std::move(m);
-    oracle.push_back(std::move(oi));
-  }
-  return oracle;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // PureMobilePipeline
@@ -46,7 +16,7 @@ PureMobilePipeline::PureMobilePipeline(const scene::SceneConfig& scene_config,
                                        PipelineConfig config)
     : scene_config_(scene_config),
       config_(std::move(config)),
-      instance_class_(class_table(scene_config)),
+      instance_class_(instance_class_table(scene_config)),
       model_(config_.model, rt::Rng(config_.seed ^ 0x90b11eULL)),
       rng_(config_.seed ^ 0x11eULL) {}
 
@@ -75,7 +45,7 @@ FrameOutput PureMobilePipeline::process(const scene::RenderedFrame& frame) {
     segnet::InferenceRequest req;
     req.width = scene_config_.camera.width;
     req.height = scene_config_.camera.height;
-    req.oracle = oracle_from_frame(frame, instance_class_);
+    req.oracle = build_oracle(frame, instance_class_);
     req.content_quality = 1.0;
     auto result = model_.infer(req);
     const double compute_ms =
@@ -110,7 +80,7 @@ TrackDetectPipeline::TrackDetectPipeline(
       config_(std::move(config)),
       policy_(policy),
       best_effort_motion_vector_(best_effort_motion_vector),
-      instance_class_(class_table(scene_config)),
+      instance_class_(instance_class_table(scene_config)),
       rng_(config_.seed ^ 0x7d7dULL),
       edge_(config_.model, config_.edge, rt::Rng(config_.seed ^ 0xab1eULL),
             net::FaultInjector(config_.faults.uplink,
@@ -128,11 +98,6 @@ std::string TrackDetectPipeline::name() const {
     case TrackDetectPolicy::kEdgeDuet: return "edgeduet";
   }
   return "track-detect";
-}
-
-std::vector<segnet::OracleInstance> TrackDetectPipeline::build_oracle(
-    const scene::RenderedFrame& frame) const {
-  return oracle_from_frame(frame, instance_class_);
 }
 
 FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
@@ -197,8 +162,8 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
       const auto mv =
           motion_vector(prev_features_, features, matches, m);
       if (mv) {
-        m = translate_mask(m, static_cast<int>(std::lround(mv->x)),
-                           static_cast<int>(std::lround(mv->y)));
+        m = m.translated(static_cast<int>(std::lround(mv->x)),
+                         static_cast<int>(std::lround(mv->y)));
       }
     }
     latency_ms += 2.0 + 1.2 * static_cast<double>(cached_masks_.size());
@@ -210,8 +175,8 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
       const auto shift = kcf_.track(prev_image_, frame.intensity, *box);
       latency_ms += kcf_.cost_ms(*box) * config_.mobile.cpu_scale;
       if (shift) {
-        m = translate_mask(m, static_cast<int>(std::lround(shift->x)),
-                           static_cast<int>(std::lround(shift->y)));
+        m = m.translated(static_cast<int>(std::lround(shift->x)),
+                         static_cast<int>(std::lround(shift->y)));
       }
     }
   }
@@ -268,7 +233,7 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
     segnet::InferenceRequest req;
     req.width = cam.width;
     req.height = cam.height;
-    req.oracle = build_oracle(frame);
+    req.oracle = build_oracle(frame, instance_class_);
     req.content_quality = encoded.content_quality;
     // No CIIA: these systems run the unmodified model.
     edge_.submit_streamed(frame.index, now_ms, encoded.total_bytes, req);

@@ -64,8 +64,6 @@ class TrackDetectPipeline : public Pipeline {
   }
 
  private:
-  std::vector<segnet::OracleInstance> build_oracle(
-      const scene::RenderedFrame& frame) const;
   /// One response chunk was delivered: file it under its frame, and adopt
   /// the frame's masks once its chunk set is complete.
   void accept_chunk(EdgeServer::Response r, double now_ms);

@@ -17,6 +17,7 @@ EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
                                PipelineConfig config)
     : scene_config_(scene_config),
       config_(std::move(config)),
+      instance_class_(instance_class_table(scene_config)),
       rng_(config_.seed ^ 0xed9e15ULL),
       edge_(config_.model, config_.edge, rt::Rng(config_.seed ^ 0x5e7fULL),
             net::FaultInjector(config_.faults.uplink,
@@ -28,32 +29,11 @@ EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
       downlink_queue_(config_.link, rt::Rng(config_.seed ^ 0xd0171ULL)),
       rto_(config_.rto, 2.0 * config_.link.base_latency_ms +
                             config_.rto.initial_compute_guess_ms) {
-  for (const auto& obj : scene_config_.objects) {
-    instance_class_[obj.instance_id] = static_cast<int>(obj.cls);
-  }
   uplink_encoder_ = enc::make_uplink_encoder(config_.encoding);
   edge_.configure_canvas(config_.encoding.canvas);
 }
 
 EdgeISPipeline::~EdgeISPipeline() = default;
-
-std::vector<segnet::OracleInstance> EdgeISPipeline::build_oracle(
-    const scene::RenderedFrame& frame) const {
-  std::vector<segnet::OracleInstance> oracle;
-  for (const auto& [instance_id, class_id] : instance_class_) {
-    auto m = mask::mask_from_id_image(frame.instance_ids,
-                                      static_cast<std::uint16_t>(instance_id));
-    if (m.pixel_count() == 0) continue;
-    m.class_id = class_id;
-    segnet::OracleInstance oi;
-    oi.box = *m.bounding_box();
-    oi.class_id = class_id;
-    oi.instance_id = instance_id;
-    oi.mask = std::move(m);
-    oracle.push_back(std::move(oi));
-  }
-  return oracle;
-}
 
 void EdgeISPipeline::deliver_due_responses(double now_ms) {
   auto it = pending_.begin();
@@ -787,7 +767,7 @@ std::size_t EdgeISPipeline::transmit(
   segnet::InferenceRequest req;
   req.width = cam.width;
   req.height = cam.height;
-  req.oracle = build_oracle(frame);
+  req.oracle = build_oracle(frame, instance_class_);
   req.content_quality = plan.content_quality;
   if (config_.enable_ciia && !full_frame_refresh_) {
     for (const auto& p : priors) {
@@ -978,14 +958,16 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
   if (phase_ == Phase::kBootstrap) {
     if (!init_ref_ ||
         frame.index - init_ref_->frame_index > bootstrap_reset_interval_) {
-      init_ref_ = StoredFrame{frame.index, frame.intensity, features,
-                              build_oracle(frame), std::nullopt};
+      init_ref_ =
+          StoredFrame{frame.index, frame.intensity, features,
+                      build_oracle(frame, instance_class_), std::nullopt};
       probe_mid_.reset();
     } else if (!degraded_ && frame.index - init_ref_->frame_index >= 20 &&
                pair_geometry_ok(*init_ref_, frame.index, frame.intensity,
                                 features)) {
-      init_pair_second_ = StoredFrame{frame.index, frame.intensity, features,
-                                      build_oracle(frame), std::nullopt};
+      init_pair_second_ =
+          StoredFrame{frame.index, frame.intensity, features,
+                      build_oracle(frame, instance_class_), std::nullopt};
       // Send both chosen frames to the edge for accurate masks
       // (Section III-A), full quality: annotation precision matters most.
       // Each goes through the ledger: a lost init annotation times out and
@@ -1166,8 +1148,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
         const auto mv = motion_vector(prev_features_, obs.features, matches,
                                       m);
         if (mv) {
-          m = translate_mask(m, static_cast<int>(std::lround(mv->x)),
-                             static_cast<int>(std::lround(mv->y)));
+          m = m.translated(static_cast<int>(std::lround(mv->x)),
+                           static_cast<int>(std::lround(mv->y)));
         }
       }
       latency_ms += 2.0;  // motion-vector estimation cost

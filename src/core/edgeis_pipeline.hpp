@@ -145,8 +145,6 @@ class EdgeISPipeline : public Pipeline {
     int resend_audit = -1;  // index into resend_audits_, -1 = none
   };
 
-  std::vector<segnet::OracleInstance> build_oracle(
-      const scene::RenderedFrame& frame) const;
   void deliver_due_responses(double now_ms);
   /// Expire attempts, schedule/execute retransmissions, enter degraded
   /// mode after enough consecutive timeouts.

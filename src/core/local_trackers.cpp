@@ -5,19 +5,6 @@
 
 namespace edgeis::core {
 
-mask::InstanceMask translate_mask(const mask::InstanceMask& m, int dx,
-                                  int dy) {
-  mask::InstanceMask out(m.width(), m.height());
-  out.class_id = m.class_id;
-  out.instance_id = m.instance_id;
-  for (int y = 0; y < m.height(); ++y) {
-    for (int x = 0; x < m.width(); ++x) {
-      if (m.get(x, y)) out.set(x + dx, y + dy);
-    }
-  }
-  return out;
-}
-
 std::optional<geom::Vec2> motion_vector(
     const std::vector<feat::Feature>& prev_features,
     const std::vector<feat::Feature>& curr_features,

@@ -16,10 +16,6 @@
 
 namespace edgeis::core {
 
-/// Translate the set pixels of a mask by an integer offset, clipping at the
-/// frame borders.
-mask::InstanceMask translate_mask(const mask::InstanceMask& m, int dx, int dy);
-
 /// Mean displacement of feature matches whose source pixel lies inside the
 /// mask (a block-motion-vector stand-in). Returns nullopt with fewer than
 /// `min_matches` supporting matches.

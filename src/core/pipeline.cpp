@@ -8,6 +8,34 @@
 
 namespace edgeis::core {
 
+std::unordered_map<int, int> instance_class_table(
+    const scene::SceneConfig& config) {
+  std::unordered_map<int, int> table;
+  for (const auto& obj : config.objects) {
+    table[obj.instance_id] = static_cast<int>(obj.cls);
+  }
+  return table;
+}
+
+std::vector<segnet::OracleInstance> build_oracle(
+    const scene::RenderedFrame& frame,
+    const std::unordered_map<int, int>& instance_class) {
+  const auto present = mask::masks_from_id_image(frame.instance_ids);
+  std::vector<segnet::OracleInstance> oracle;
+  for (const auto& [instance_id, class_id] : instance_class) {
+    const mask::InstanceMask* m = mask::find_instance(present, instance_id);
+    if (m == nullptr) continue;
+    segnet::OracleInstance oi;
+    oi.mask = *m;
+    oi.mask.class_id = class_id;
+    oi.box = *m->bounding_box();
+    oi.class_id = class_id;
+    oi.instance_id = instance_id;
+    oracle.push_back(std::move(oi));
+  }
+  return oracle;
+}
+
 void RunAccumulator::record(const scene::SceneSimulator& sim,
                             const scene::RenderedFrame& frame,
                             const FrameOutput& out, rt::Tracer* tracer) {

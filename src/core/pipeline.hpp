@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "encoding/uplink_encoder.hpp"
@@ -127,6 +128,18 @@ class RunAccumulator {
   int memory_sample_;
   RunResult result_;
 };
+
+/// Instance id -> class id of every object in the scene.
+std::unordered_map<int, int> instance_class_table(
+    const scene::SceneConfig& config);
+
+/// The segmentation model's ground truth for `frame`: one OracleInstance
+/// per entry of `instance_class` visible in it, in the map's iteration
+/// order (which fixes the order of the model's per-instance RNG draws).
+/// The masks come from one `mask::masks_from_id_image` call.
+std::vector<segnet::OracleInstance> build_oracle(
+    const scene::RenderedFrame& frame,
+    const std::unordered_map<int, int>& instance_class);
 
 /// Drive `pipeline` over all frames of `sim`'s scene on a discrete-event
 /// scheduler (one self-rescheduling frame source — the N-client fleet

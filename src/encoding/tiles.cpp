@@ -120,6 +120,9 @@ EncodedFrame encode_cfrs(int frame_index, int width, int height,
       // Sample the tile's pixels against the masks (stride 4 is enough for
       // 64-px tiles vs object-scale masks).
       for (std::size_t mi = 0; mi < masks.size(); ++mi) {
+        // Every sample outside the dilated mask's box reads unset.
+        const auto reach = dilated[mi].bounding_box();
+        if (!reach || box.intersect(*reach).empty()) continue;
         bool any_band = false, any_interior = false;
         for (int y = box.y0; y < box.y1 && !any_band; y += 4) {
           for (int x = box.x0; x < box.x1; x += 4) {

@@ -2,92 +2,174 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "runtime/arena.hpp"
 
 namespace edgeis::mask {
 
-std::optional<Box> InstanceMask::bounding_box() const {
-  Box b{width(), height(), 0, 0};
-  bool any = false;
-  for (int y = 0; y < height(); ++y) {
-    const auto* r = bits_.row(y);
-    for (int x = 0; x < width(); ++x) {
-      if (!r[x]) continue;
-      any = true;
-      b.x0 = std::min(b.x0, x);
-      b.y0 = std::min(b.y0, y);
-      b.x1 = std::max(b.x1, x + 1);
-      b.y1 = std::max(b.y1, y + 1);
-    }
+InstanceMask::InstanceMask(int width, int height, const Box& window,
+                           img::Image<std::uint8_t> cells)
+    : width_(width), height_(height) {
+  if (window.x0 < 0 || window.y0 < 0 || window.x1 > width ||
+      window.y1 > height || cells.width() != std::max(0, window.width()) ||
+      cells.height() != std::max(0, window.height())) {
+    throw std::invalid_argument("mask cells do not fit their window");
   }
-  if (!any) return std::nullopt;
-  return b;
+  // Tight box and count of the nonzero cells, in window coordinates.
+  Box tight{cells.width(), cells.height(), 0, 0};
+  for (int y = 0; y < cells.height(); ++y) {
+    const auto* r = cells.row(y);
+    int first = -1, last = -1;
+    for (int x = 0; x < cells.width(); ++x) {
+      if (r[x] == 0) continue;
+      if (first < 0) first = x;
+      last = x;
+      ++count_;
+    }
+    if (first < 0) continue;
+    tight = tight.unite({first, y, last + 1, y + 1});
+  }
+  if (count_ == 0) return;
+  box_ = {window.x0 + tight.x0, window.y0 + tight.y0, window.x0 + tight.x1,
+          window.y0 + tight.y1};
+  if (box_ == window) {
+    cells_ = std::move(cells);
+    return;
+  }
+  cells_ = img::Image<std::uint8_t>(box_.width(), box_.height());
+  for (int y = 0; y < box_.height(); ++y) {
+    std::memcpy(cells_.row(y), cells.row(tight.y0 + y) + tight.x0,
+                static_cast<std::size_t>(box_.width()));
+  }
+}
+
+InstanceMask InstanceMask::with_cells(const Box& window,
+                                      img::Image<std::uint8_t> cells) const {
+  InstanceMask out(width_, height_, window, std::move(cells));
+  out.class_id = class_id;
+  out.instance_id = instance_id;
+  return out;
+}
+
+img::Image<std::uint8_t> InstanceMask::cells_over(const Box& window) const {
+  img::Image<std::uint8_t> out(window.width(), window.height(), 0);
+  const Box common = box_.intersect(window);
+  if (common.empty()) return out;
+  for (int y = common.y0; y < common.y1; ++y) {
+    std::memcpy(out.row(y - window.y0) + (common.x0 - window.x0),
+                cells_.row(y - box_.y0) + (common.x0 - box_.x0),
+                static_cast<std::size_t>(common.width()));
+  }
+  return out;
+}
+
+void InstanceMask::set(int x, int y, bool v) {
+  if (x < 0 || y < 0 || x >= width_ || y >= height_ || get(x, y) == v) return;
+  if (!v) {
+    cells_.at(x - box_.x0, y - box_.y0) = 0;
+    --count_;
+    // Clearing a pixel on the box's edge may loosen the box: re-crop.
+    if (x == box_.x0 || y == box_.y0 || x == box_.x1 - 1 ||
+        y == box_.y1 - 1) {
+      *this = with_cells(box_, std::move(cells_));
+    }
+    return;
+  }
+  if (box_.contains(x, y)) {
+    cells_.at(x - box_.x0, y - box_.y0) = 1;
+    ++count_;
+    return;
+  }
+  const Box window = box_.unite({x, y, x + 1, y + 1});
+  auto cells = cells_over(window);
+  cells.at(x - window.x0, y - window.y0) = 1;
+  *this = with_cells(window, std::move(cells));
 }
 
 double InstanceMask::iou(const InstanceMask& o) const {
-  long long inter = 0, uni = 0;
-  const int w = std::max(width(), o.width());
-  const int h = std::max(height(), o.height());
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const bool a = get(x, y);
-      const bool b = o.get(x, y);
-      inter += (a && b) ? 1 : 0;
-      uni += (a || b) ? 1 : 0;
+  // Both masks are zero outside their boxes, so only the boxes' overlap can
+  // hold common pixels; the union follows from the two counts.
+  long long inter = 0;
+  const Box common = box_.intersect(o.box_);
+  if (!common.empty()) {
+    for (int y = common.y0; y < common.y1; ++y) {
+      const auto* a = cells_.row(y - box_.y0) + (common.x0 - box_.x0);
+      const auto* b = o.cells_.row(y - o.box_.y0) + (common.x0 - o.box_.x0);
+      for (int x = 0; x < common.width(); ++x) {
+        inter += (a[x] != 0 && b[x] != 0) ? 1 : 0;
+      }
     }
   }
+  const long long uni = count_ + o.count_ - inter;
   return uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
 }
 
 InstanceMask InstanceMask::dilated(int r) const {
-  InstanceMask out = *this;
+  if (count_ == 0 || r <= 0) return *this;
+  // r passes reach at most r pixels past the box, so the box +- r (clipped
+  // to the frame) holds the result, and cells beyond it read as unset.
+  const Box window = box_.inflated(r, width_, height_);
+  const int w = window.width(), h = window.height();
+  img::Image<std::uint8_t> cur = cells_over(window);
+  img::Image<std::uint8_t> next(w, h);
   for (int pass = 0; pass < r; ++pass) {
-    InstanceMask next = out;
-    for (int y = 0; y < height(); ++y) {
-      for (int x = 0; x < width(); ++x) {
-        if (out.get(x, y)) continue;
-        if (out.get(x - 1, y) || out.get(x + 1, y) || out.get(x, y - 1) ||
-            out.get(x, y + 1)) {
-          next.set(x, y);
-        }
+    for (int y = 0; y < h; ++y) {
+      const auto* c = cur.row(y);
+      const auto* up = y > 0 ? cur.row(y - 1) : nullptr;
+      const auto* down = y + 1 < h ? cur.row(y + 1) : nullptr;
+      auto* n = next.row(y);
+      for (int x = 0; x < w; ++x) {
+        n[x] = (c[x] != 0 || (x > 0 && c[x - 1] != 0) ||
+                (x + 1 < w && c[x + 1] != 0) || (up && up[x] != 0) ||
+                (down && down[x] != 0))
+                   ? 1
+                   : 0;
       }
     }
-    out = std::move(next);
+    std::swap(cur, next);
   }
-  return out;
+  return with_cells(window, std::move(cur));
 }
 
 InstanceMask InstanceMask::eroded(int r) const {
-  InstanceMask out = *this;
+  if (count_ == 0 || r <= 0) return *this;
+  // Erosion never grows the box. Cells outside it read as unset, and the
+  // box lies inside the frame, so frame-border pixels erode too.
+  const int w = box_.width(), h = box_.height();
+  img::Image<std::uint8_t> cur = cells_;
+  img::Image<std::uint8_t> next(w, h);
   for (int pass = 0; pass < r; ++pass) {
-    InstanceMask next = out;
-    for (int y = 0; y < height(); ++y) {
-      for (int x = 0; x < width(); ++x) {
-        if (!out.get(x, y)) continue;
-        // Border pixels erode too (treat outside as unset).
-        const bool interior = x > 0 && y > 0 && x < width() - 1 &&
-                              y < height() - 1 && out.get(x - 1, y) &&
-                              out.get(x + 1, y) && out.get(x, y - 1) &&
-                              out.get(x, y + 1);
-        if (!interior) next.set(x, y, false);
+    for (int y = 0; y < h; ++y) {
+      const auto* c = cur.row(y);
+      const auto* up = y > 0 ? cur.row(y - 1) : nullptr;
+      const auto* down = y + 1 < h ? cur.row(y + 1) : nullptr;
+      auto* n = next.row(y);
+      for (int x = 0; x < w; ++x) {
+        const bool interior = c[x] != 0 && x > 0 && c[x - 1] != 0 &&
+                              x + 1 < w && c[x + 1] != 0 && up &&
+                              up[x] != 0 && down && down[x] != 0;
+        n[x] = interior ? 1 : 0;
       }
     }
-    out = std::move(next);
+    std::swap(cur, next);
   }
-  return out;
+  return with_cells(box_, std::move(cur));
 }
 
 InstanceMask InstanceMask::translated(int dx, int dy) const {
-  InstanceMask out(width(), height());
-  out.class_id = class_id;
-  out.instance_id = instance_id;
-  for (int y = 0; y < height(); ++y) {
-    for (int x = 0; x < width(); ++x) {
-      if (get(x, y)) out.set(x + dx, y + dy);
-    }
+  const Box moved{box_.x0 + dx, box_.y0 + dy, box_.x1 + dx, box_.y1 + dy};
+  const Box window = moved.intersect({0, 0, width_, height_});
+  if (count_ == 0 || window.empty()) return with_cells({}, {});
+  img::Image<std::uint8_t> cells(window.width(), window.height());
+  for (int y = window.y0; y < window.y1; ++y) {
+    std::memcpy(cells.row(y - window.y0),
+                cells_.row(y - dy - box_.y0) + (window.x0 - dx - box_.x0),
+                static_cast<std::size_t>(window.width()));
   }
-  return out;
+  return with_cells(window, std::move(cells));
 }
 
 namespace {
@@ -157,23 +239,26 @@ Contour trace_boundary(const InstanceMask& m, int sx, int sy) {
 
 std::vector<Contour> find_contours(const InstanceMask& mask) {
   std::vector<Contour> contours;
-  const int w = mask.width();
-  const int h = mask.height();
-  // Frame-scratch reuse: the visited map is a full-frame buffer that used
-  // to be re-heap-allocated on every call (mask transfer runs this per
-  // instance per keyframe); the flood-fill stack keeps its capacity
-  // across calls the same way.
+  const auto bbox = mask.bounding_box();
+  if (!bbox) return contours;
+  // Every set pixel lies in the box, so scanning it row-major finds the
+  // components in the same order a full-frame scan would.
+  const Box b = *bbox;
+  const auto bw = static_cast<std::size_t>(b.width());
+  const auto bh = static_cast<std::size_t>(b.height());
+  // Frame-scratch reuse: the box-sized visited map comes from the arena
+  // (mask transfer runs this per instance per keyframe); the flood-fill
+  // stack keeps its capacity across calls the same way.
   rt::ArenaScope scratch;
-  auto visited = scratch.alloc_filled<std::uint8_t>(
-      static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0);
+  auto visited = scratch.alloc_filled<std::uint8_t>(bw * bh, 0);
   const auto seen = [&](int px, int py) -> std::uint8_t& {
-    return visited[static_cast<std::size_t>(py) * static_cast<std::size_t>(w) +
-                   static_cast<std::size_t>(px)];
+    return visited[static_cast<std::size_t>(py - b.y0) * bw +
+                   static_cast<std::size_t>(px - b.x0)];
   };
   thread_local std::vector<std::pair<int, int>> stack;
 
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
+  for (int y = b.y0; y < b.y1; ++y) {
+    for (int x = b.x0; x < b.x1; ++x) {
       if (!mask.get(x, y) || seen(x, y)) continue;
       const bool is_boundary_start = !mask.get(x - 1, y);
       if (!is_boundary_start) continue;
@@ -185,7 +270,7 @@ std::vector<Contour> find_contours(const InstanceMask& mask) {
       while (!stack.empty()) {
         auto [px, py] = stack.back();
         stack.pop_back();
-        // mask.get bounds-checks, so out-of-range pushes die here before
+        // mask.get bounds-checks, so out-of-box pushes die here before
         // the visited lookup.
         if (!mask.get(px, py) || seen(px, py)) continue;
         seen(px, py) = 1;
@@ -201,14 +286,37 @@ std::vector<Contour> find_contours(const InstanceMask& mask) {
 }
 
 InstanceMask rasterize_polygon(const Contour& polygon, int width, int height) {
-  InstanceMask out(width, height);
-  if (polygon.size() < 3) return out;
+  if (polygon.size() < 3) return InstanceMask(width, height);
+
+  // Only rows and columns under the polygon's extent can fill: take its
+  // finite vertices' box (one pixel of slack each way), clipped to the
+  // frame. Clamping in double keeps far-off vertices from overflowing int.
+  double min_x = std::numeric_limits<double>::infinity(), min_y = min_x;
+  double max_x = -min_x, max_y = -min_x;
+  for (const auto& p : polygon) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) continue;
+    min_x = std::min(min_x, p.x);
+    max_x = std::max(max_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_y = std::max(max_y, p.y);
+  }
+  const auto clip = [](double v, int hi) {
+    return static_cast<int>(std::clamp(v, 0.0, static_cast<double>(hi)));
+  };
+  if (min_x > max_x) return InstanceMask(width, height);
+  const Box window{clip(std::floor(min_x), width),
+                   clip(std::floor(min_y), height),
+                   clip(std::ceil(max_x) + 1.0, width),
+                   clip(std::ceil(max_y) + 1.0, height)};
+  if (window.empty()) return InstanceMask(width, height);
+  img::Image<std::uint8_t> cells(window.width(), window.height(), 0);
 
   // Even-odd scanline fill.
-  for (int y = 0; y < height; ++y) {
+  std::vector<double> xs;
+  const std::size_t n = polygon.size();
+  for (int y = window.y0; y < window.y1; ++y) {
     const double fy = static_cast<double>(y) + 0.5;
-    std::vector<double> xs;
-    const std::size_t n = polygon.size();
+    xs.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const geom::Vec2& a = polygon[i];
       const geom::Vec2& b = polygon[(i + 1) % n];
@@ -218,26 +326,89 @@ InstanceMask rasterize_polygon(const Contour& polygon, int width, int height) {
       }
     }
     std::sort(xs.begin(), xs.end());
+    auto* row = cells.row(y - window.y0);
     for (std::size_t i = 0; i + 1 < xs.size(); i += 2) {
-      const int x0 = std::max(0, static_cast<int>(std::ceil(xs[i] - 0.5)));
-      const int x1 =
-          std::min(width - 1, static_cast<int>(std::floor(xs[i + 1] - 0.5)));
-      for (int x = x0; x <= x1; ++x) out.set(x, y);
+      const int x0 = static_cast<int>(std::max(
+          static_cast<double>(window.x0), std::ceil(xs[i] - 0.5)));
+      const int x1 = static_cast<int>(std::min(
+          static_cast<double>(window.x1 - 1), std::floor(xs[i + 1] - 0.5)));
+      if (x0 > x1) continue;
+      std::memset(row + (x0 - window.x0), 1,
+                  static_cast<std::size_t>(x1 - x0 + 1));
     }
   }
+  return InstanceMask(width, height, window, std::move(cells));
+}
 
+namespace {
+
+/// Masks of the ids `keep` accepts, in ascending id order: one sweep finds
+/// each id's box from its row runs, a second stamps the runs into
+/// box-sized rasters.
+template <typename Keep>
+std::vector<InstanceMask> extract_ids(const img::IdImage& ids, Keep keep) {
+  const int w = ids.width();
+  std::vector<Box> boxes;  // indexed by id; empty = absent
+  int y_lo = ids.height(), y_hi = 0;  // rows holding any kept id
+  const auto for_each_run = [&](int y0, int y1, auto&& fn) {
+    for (int y = y0; y < y1; ++y) {
+      const auto* r = ids.row(y);
+      for (int x = 0; x < w;) {
+        const std::uint16_t id = r[x];
+        const int x0 = x;
+        while (x < w && r[x] == id) ++x;
+        if (keep(id)) fn(id, y, x0, x);
+      }
+    }
+  };
+  for_each_run(0, ids.height(), [&](std::uint16_t id, int y, int x0, int x1) {
+    if (id >= boxes.size()) boxes.resize(static_cast<std::size_t>(id) + 1);
+    boxes[id] = boxes[id].unite({x0, y, x1, y + 1});
+    y_lo = std::min(y_lo, y);
+    y_hi = y + 1;
+  });
+  std::vector<img::Image<std::uint8_t>> cells(boxes.size());
+  for (std::size_t id = 0; id < boxes.size(); ++id) {
+    if (!boxes[id].empty()) {
+      cells[id] = img::Image<std::uint8_t>(boxes[id].width(),
+                                           boxes[id].height(), 0);
+    }
+  }
+  for_each_run(y_lo, y_hi, [&](std::uint16_t id, int y, int x0, int x1) {
+    const Box& b = boxes[id];
+    std::memset(cells[id].row(y - b.y0) + (x0 - b.x0), 1,
+                static_cast<std::size_t>(x1 - x0));
+  });
+  std::vector<InstanceMask> out;
+  for (std::size_t id = 0; id < boxes.size(); ++id) {
+    if (boxes[id].empty()) continue;
+    out.emplace_back(w, ids.height(), boxes[id], std::move(cells[id]));
+    out.back().instance_id = static_cast<int>(id);
+  }
   return out;
 }
 
+}  // namespace
+
 InstanceMask mask_from_id_image(const img::IdImage& ids, std::uint16_t id) {
+  auto found =
+      extract_ids(ids, [id](std::uint16_t v) { return v == id; });
+  if (!found.empty()) return std::move(found.front());
   InstanceMask out(ids.width(), ids.height());
   out.instance_id = id;
-  for (int y = 0; y < ids.height(); ++y) {
-    for (int x = 0; x < ids.width(); ++x) {
-      if (ids.at(x, y) == id) out.set(x, y);
-    }
-  }
   return out;
+}
+
+std::vector<InstanceMask> masks_from_id_image(const img::IdImage& ids) {
+  return extract_ids(ids, [](std::uint16_t v) { return v != 0; });
+}
+
+const InstanceMask* find_instance(const std::vector<InstanceMask>& masks,
+                                  int instance_id) {
+  const auto it = std::lower_bound(
+      masks.begin(), masks.end(), instance_id,
+      [](const InstanceMask& m, int id) { return m.instance_id < id; });
+  return it != masks.end() && it->instance_id == instance_id ? &*it : nullptr;
 }
 
 }  // namespace edgeis::mask

@@ -53,34 +53,41 @@ struct Box {
   friend bool operator==(const Box&, const Box&) = default;
 };
 
-/// Dense binary mask of one object instance, with class and instance ids.
+/// Binary mask of one object instance, with class and instance ids.
+///
+/// The mask belongs to a width() x height() frame but stores only the tight
+/// bounding box of its set pixels (one byte per box cell), plus their
+/// count, both fixed when the mask is built. So bounding_box() and
+/// pixel_count() are O(1), and every other operation costs the object's
+/// box, not the frame.
 class InstanceMask {
  public:
   InstanceMask() = default;
-  InstanceMask(int width, int height) : bits_(width, height, 0) {}
+  /// An empty mask of a `width` x `height` frame.
+  InstanceMask(int width, int height) : width_(width), height_(height) {}
+  /// The mask whose set pixels are the nonzero cells of `cells`, a raster
+  /// laid over `window` (which must lie inside the frame). Storage is
+  /// cropped to the tight box of those pixels.
+  InstanceMask(int width, int height, const Box& window,
+               img::Image<std::uint8_t> cells);
 
-  [[nodiscard]] int width() const noexcept { return bits_.width(); }
-  [[nodiscard]] int height() const noexcept { return bits_.height(); }
-  [[nodiscard]] bool empty() const noexcept { return bits_.empty(); }
+  [[nodiscard]] int width() const noexcept { return width_; }
+  [[nodiscard]] int height() const noexcept { return height_; }
 
   [[nodiscard]] bool get(int x, int y) const {
-    return bits_.contains(x, y) && bits_.at(x, y) != 0;
+    return box_.contains(x, y) && cells_.at(x - box_.x0, y - box_.y0) != 0;
   }
-  void set(int x, int y, bool v = true) {
-    if (bits_.contains(x, y)) bits_.at(x, y) = v ? 1 : 0;
-  }
+  /// Set or clear one pixel; writes outside the frame are ignored. A slow
+  /// path (growing the box reallocates it) for building masks by hand.
+  void set(int x, int y, bool v = true);
 
-  [[nodiscard]] long long pixel_count() const noexcept {
-    long long c = 0;
-    for (int y = 0; y < height(); ++y) {
-      const auto* r = bits_.row(y);
-      for (int x = 0; x < width(); ++x) c += r[x] ? 1 : 0;
-    }
-    return c;
-  }
+  [[nodiscard]] long long pixel_count() const noexcept { return count_; }
 
   /// Tight bounding box of set pixels; nullopt for an empty mask.
-  [[nodiscard]] std::optional<Box> bounding_box() const;
+  [[nodiscard]] std::optional<Box> bounding_box() const {
+    if (count_ == 0) return std::nullopt;
+    return box_;
+  }
 
   /// Pixel-level IoU per Eq. (8) of the paper.
   [[nodiscard]] double iou(const InstanceMask& o) const;
@@ -95,13 +102,17 @@ class InstanceMask {
   int class_id = 0;        // semantic class (0 = background / unknown)
   int instance_id = 0;     // unique per object instance in the scene
 
-  [[nodiscard]] const img::Image<std::uint8_t>& raw() const noexcept {
-    return bits_;
-  }
-  [[nodiscard]] img::Image<std::uint8_t>& raw() noexcept { return bits_; }
-
  private:
-  img::Image<std::uint8_t> bits_;
+  /// This mask's frame and ids with the pixels of `cells` over `window`.
+  [[nodiscard]] InstanceMask with_cells(const Box& window,
+                                        img::Image<std::uint8_t> cells) const;
+  /// `window`-sized raster holding this mask's pixels that fall inside it.
+  [[nodiscard]] img::Image<std::uint8_t> cells_over(const Box& window) const;
+
+  int width_ = 0, height_ = 0;
+  Box box_;                          // tight box of set pixels; empty if none
+  long long count_ = 0;              // set pixels
+  img::Image<std::uint8_t> cells_;   // box_-sized; nonzero = set
 };
 
 /// A closed contour: ordered list of connected boundary pixels.
@@ -117,5 +128,14 @@ InstanceMask rasterize_polygon(const Contour& polygon, int width, int height);
 
 /// Build an InstanceMask from an instance-id buffer, selecting `id` pixels.
 InstanceMask mask_from_id_image(const img::IdImage& ids, std::uint16_t id);
+
+/// The masks of every nonzero id in an instance-id buffer, built from two
+/// sweeps of it however many ids it holds. Ascending id order; each mask's
+/// instance_id is its id.
+std::vector<InstanceMask> masks_from_id_image(const img::IdImage& ids);
+
+/// The mask of `instance_id` in `masks_from_id_image` output, or nullptr.
+const InstanceMask* find_instance(const std::vector<InstanceMask>& masks,
+                                  int instance_id);
 
 }  // namespace edgeis::mask

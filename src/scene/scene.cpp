@@ -378,10 +378,14 @@ mask::InstanceMask SceneSimulator::unoccluded_mask(int frame_index,
 
 std::vector<mask::InstanceMask> SceneSimulator::ground_truth_masks(
     const RenderedFrame& frame) const {
+  const auto present = mask::masks_from_id_image(frame.instance_ids);
   std::vector<mask::InstanceMask> out;
   for (const auto& obj : config_.objects) {
-    auto m = ground_truth_mask(frame, obj.instance_id, obj.cls);
-    if (m.pixel_count() > 0) out.push_back(std::move(m));
+    const mask::InstanceMask* m =
+        mask::find_instance(present, obj.instance_id);
+    if (m == nullptr) continue;
+    out.push_back(*m);
+    out.back().class_id = static_cast<int>(obj.cls);
   }
   return out;
 }

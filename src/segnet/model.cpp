@@ -295,12 +295,14 @@ InferenceResult SegmentationModel::infer(const InferenceRequest& request) {
       out.mask = corrupt_mask(inst.mask, target, rng_);
     } else {
       // Detection-only model: the "mask" is the filled detection box.
-      out.mask = mask::InstanceMask(request.width, request.height);
-      for (int y = best->box.y0; y < best->box.y1; ++y) {
-        for (int x = best->box.x0; x < best->box.x1; ++x) {
-          out.mask.set(x, y);
-        }
-      }
+      const mask::Box filled =
+          best->box.intersect({0, 0, request.width, request.height});
+      out.mask = filled.empty()
+                     ? mask::InstanceMask(request.width, request.height)
+                     : mask::InstanceMask(
+                           request.width, request.height, filled,
+                           img::Image<std::uint8_t>(filled.width(),
+                                                    filled.height(), 1));
       out.mask.class_id = inst.class_id;
       out.mask.instance_id = inst.instance_id;
     }

@@ -90,7 +90,7 @@ TEST(LocalTrackers, TranslateMaskClips) {
   mask::InstanceMask m(20, 20);
   m.set(18, 18);
   m.set(1, 1);
-  const auto t = translate_mask(m, 5, 5);
+  const auto t = m.translated(5, 5);
   EXPECT_TRUE(t.get(6, 6));
   EXPECT_EQ(t.pixel_count(), 1);  // (18,18) shifted out of frame
 }
