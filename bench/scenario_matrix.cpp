@@ -8,7 +8,8 @@
 // the hard regimes, not just the calm steady-state scenes the per-figure
 // benches use.
 //
-// Per-frame accuracy is bucketed by annotation freshness: a frame is
+// Per-frame accuracy is bucketed by annotation freshness (core::RunResult
+// clean/stale split, filled by run_pipeline): a frame is
 // *clean* when the rendered masks are backed by an edge annotation newer
 // than the staleness threshold and the pipeline is not degraded, *stale*
 // otherwise. The iou_clean/iou_stale split is the number that tells you
@@ -27,8 +28,6 @@
 #include <string>
 
 #include "bench/common.hpp"
-#include "core/fleet.hpp"  // kStaleThresholdMs: one staleness convention
-#include "runtime/stats.hpp"
 
 using namespace edgeis;
 
@@ -48,71 +47,25 @@ core::PipelineConfig cell_config(const net::DuplexFaultScript& script) {
   return cfg;
 }
 
-/// One pipeline run scored per frame with clean/stale bucketing.
-struct ScoredRun {
-  eval::Evaluator evaluator;
-  rt::SampleSet clean_iou;   // object-frame IoU on fresh-annotation frames
-  rt::SampleSet stale_iou;   // ... on degraded / stale-annotation frames
-  rt::SampleSet staleness;   // per-frame annotation age (>= 0 only)
-  int frames_scored = 0;
-  int frames_stale = 0;
-  std::size_t tx_bytes = 0;
-};
-
-ScoredRun drive(const scene::SceneSimulator& sim, core::Pipeline& pipeline,
-                int warmup, rt::Tracer* tracer) {
-  ScoredRun r;
-  pipeline.set_tracer(tracer);
-  double sim_now_ms = 0.0;
-  rt::ScopedLogClock log_clock([&sim_now_ms] { return sim_now_ms; });
-  for (int i = 0; i < sim.total_frames(); ++i) {
-    const scene::RenderedFrame frame = sim.render(i);
-    sim_now_ms = frame.timestamp * 1000.0;
-    const core::FrameOutput out = pipeline.process(frame);
-    if (out.transmitted) r.tx_bytes += out.tx_bytes;
-    if (tracer != nullptr) {
-      tracer->counter(rt::track::kMobile, "latency_ms", sim_now_ms,
-                      out.mobile_latency_ms);
-      tracer->counter(rt::track::kMobile, "tx_kb_total", sim_now_ms,
-                      static_cast<double>(r.tx_bytes) / 1024.0);
-    }
-    if (i < warmup) continue;
-    const auto gts = sim.ground_truth_masks(frame);
-    auto fs = eval::score_frame(i, out.rendered_masks, gts,
-                                out.mobile_latency_ms);
-    const bool stale = out.degraded || out.staleness_ms < 0.0 ||
-                       out.staleness_ms > core::kStaleThresholdMs;
-    ++r.frames_scored;
-    if (stale) ++r.frames_stale;
-    if (out.staleness_ms >= 0.0) r.staleness.add(out.staleness_ms);
-    for (const auto& o : fs.objects) {
-      (stale ? r.stale_iou : r.clean_iou).add(o.iou);
-    }
-    r.evaluator.add(std::move(fs));
-  }
-  pipeline.set_tracer(nullptr);
-  return r;
-}
-
 void print_row(const std::string& cell, const char* label,
-               const ScoredRun& r, double degraded_ms, double hit_rate) {
-  const auto summary = r.evaluator.summarize();
+               const core::RunResult& r, double degraded_ms,
+               double hit_rate) {
   eval::print_table_row(
-      {label, eval::fmt_percent(summary.mean_iou),
+      {label, eval::fmt_percent(r.summary.mean_iou),
        eval::fmt_percent(r.clean_iou.mean()),
        eval::fmt_percent(r.stale_iou.mean()),
        std::to_string(r.frames_stale),
        eval::fmt(r.staleness.percentile(95.0), 0),
        eval::fmt(degraded_ms, 0),
-       eval::fmt(static_cast<double>(r.tx_bytes) / 1e6, 2),
+       eval::fmt(static_cast<double>(r.total_tx_bytes) / 1e6, 2),
        eval::fmt_percent(hit_rate)});
   std::printf(
       "HEADLINE scenario=%s system=%s iou=%.4f iou_clean=%.4f "
       "iou_stale=%.4f frames_stale=%d stale_p95=%.0f degraded_ms=%.0f "
       "tx_bytes=%zu hit_rate=%.4f\n",
-      cell.c_str(), label, summary.mean_iou, r.clean_iou.mean(),
+      cell.c_str(), label, r.summary.mean_iou, r.clean_iou.mean(),
       r.stale_iou.mean(), r.frames_stale, r.staleness.percentile(95.0),
-      degraded_ms, r.tx_bytes, hit_rate);
+      degraded_ms, r.total_tx_bytes, hit_rate);
 }
 
 }  // namespace
@@ -185,8 +138,9 @@ int main(int argc, char** argv) {
         core::EdgeISPipeline p(scene_cfg, cfg);
         const bool trace_this = trace_path != nullptr && cell == trace_cell;
         traced |= trace_this;
-        const auto r = drive(sim, p, bench::kWarmupFrames,
-                             trace_this ? &tracer : nullptr);
+        const auto r = core::run_pipeline(sim, p, bench::kWarmupFrames,
+                                          /*memory_sample=*/0,
+                                          trace_this ? &tracer : nullptr);
         const auto h = p.link_health();
         const long long tiles = h.canvas_tiles_sent + h.canvas_tiles_reused;
         const double hit_rate =
@@ -199,7 +153,7 @@ int main(int argc, char** argv) {
         core::TrackDetectPipeline p(scene_cfg, cell_config(link.script),
                                     core::TrackDetectPolicy::kBestEffort,
                                     /*best_effort_motion_vector=*/true);
-        const auto r = drive(sim, p, bench::kWarmupFrames, nullptr);
+        const auto r = core::run_pipeline(sim, p, bench::kWarmupFrames);
         print_row(cell, "best-effort+mv", r, /*degraded_ms=*/0.0,
                   /*hit_rate=*/0.0);
       }

@@ -303,27 +303,21 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
 
 void TrackDetectPipeline::accept_chunk(EdgeServer::Response r,
                                        double now_ms) {
-  const auto count = static_cast<std::size_t>(r.chunk_count);
-  if (r.frame_index != assembly_frame_) {
+  if (r.frame_index != assembly_.frame_index() || !assembly_.started()) {
     // A new frame's response: the gate keeps one frame in flight, so the
     // previous frame's set is finished or lost for good.
-    assembly_frame_ = r.frame_index;
-    assembly_have_.assign(count, false);
-    assembly_masks_.assign(count, {});
-  } else if (count != assembly_have_.size()) {
-    // The other inference of a duplicated request, framed differently:
-    // never merged into the set already being assembled (the
-    // net::ChunkAssembler mismatch rule).
+    assembly_ = net::ChunkAssembler();
+    assembly_masks_.assign(static_cast<std::size_t>(r.chunk_count), {});
+  }
+  // A duplicate, a chunk of a finished set, or the other inference of a
+  // duplicated request framed differently: never merged.
+  if (assembly_.accept(r.frame_index, r.chunk_index, r.chunk_count) !=
+      net::ChunkAssembler::Accept::kApplied) {
     return;
   }
-  const auto i = static_cast<std::size_t>(r.chunk_index);
-  if (assembly_have_[i]) return;  // duplicate, or the set is done
-  assembly_have_[i] = true;
-  assembly_masks_[i] = std::move(r.masks);
-  if (std::find(assembly_have_.begin(), assembly_have_.end(), false) !=
-      assembly_have_.end()) {
-    return;
-  }
+  assembly_masks_[static_cast<std::size_t>(r.chunk_index)] =
+      std::move(r.masks);
+  if (!assembly_.complete()) return;
   cached_masks_.clear();
   for (auto& part : assembly_masks_) {
     for (auto& m : part) cached_masks_.push_back(std::move(m));

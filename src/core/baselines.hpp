@@ -22,6 +22,7 @@
 #include "core/pipeline.hpp"
 #include "core/render_queue.hpp"
 #include "features/orb.hpp"
+#include "net/protocol.hpp"
 #include "scene/scene.hpp"
 
 namespace edgeis::core {
@@ -93,10 +94,10 @@ class TrackDetectPipeline : public Pipeline {
   std::vector<PendingResponse> pending_;
 
   std::vector<mask::InstanceMask> cached_masks_;
-  // Reassembly of the response in flight, by chunk index. The "client
-  // drops while busy" gate keeps one frame's chunks in flight at a time.
-  int assembly_frame_ = -1;
-  std::vector<bool> assembly_have_;
+  // Reassembly of the response in flight; masks by chunk index. The
+  // "client drops while busy" gate keeps one frame's chunks in flight at a
+  // time.
+  net::ChunkAssembler assembly_;
   std::vector<std::vector<mask::InstanceMask>> assembly_masks_;
   std::vector<feat::Feature> prev_features_;
   img::GrayImage prev_image_;

@@ -171,13 +171,10 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
                                   EdgeServer::Response& resp,
                                   double now_ms) {
   LedgerEntry& e = *it;
-  if (e.chunks_expected == 0) {
-    e.chunks_expected = std::max(resp.chunk_count, 1);
-    e.chunk_have.assign(static_cast<std::size_t>(e.chunks_expected), false);
-  }
-  if (resp.chunk_index < 0 || resp.chunk_index >= e.chunks_expected ||
-      e.chunk_have[static_cast<std::size_t>(resp.chunk_index)]) {
-    // Downlink duplicate or a resend racing the original: idempotent.
+  if (e.chunks.accept(resp.frame_index, resp.chunk_index, resp.chunk_count) !=
+      net::ChunkAssembler::Accept::kApplied) {
+    // Downlink duplicate, a resend racing the original, or the other
+    // inference of a duplicated request framed differently: never merged.
     ++health_.duplicate_chunks;
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kLedger, "duplicate_chunk", now_ms,
@@ -186,21 +183,18 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
     }
     return false;
   }
-  e.chunk_have[static_cast<std::size_t>(resp.chunk_index)] = true;
-  ++e.chunks_received;
   ++health_.chunks_received;
   e.stats = resp.stats;
   e.response_bytes += resp.payload_bytes;
-  if (resp.is_resend) e.resent_bytes += resp.payload_bytes;
   for (auto& m : resp.masks) e.arrived_masks.push_back(std::move(m));
-  const bool complete = e.chunks_received == e.chunks_expected;
+  const bool complete = e.chunks.complete();
   if (tracer_ != nullptr) {
     tracer_->instant(rt::track::kLedger, "chunk", now_ms,
                      {{"request", resp.frame_index},
                       {"attempt", resp.attempt},
                       {"chunk", resp.chunk_index},
-                      {"received", e.chunks_received},
-                      {"expected", e.chunks_expected},
+                      {"received", e.chunks.received()},
+                      {"expected", e.chunks.expected()},
                       {"resend", resp.is_resend},
                       {"bytes", resp.payload_bytes}});
   }
@@ -228,8 +222,8 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
       if (tracer_ != nullptr) {
         tracer_->instant(rt::track::kLedger, "partial_apply", now_ms,
                          {{"frame", e.frame_index},
-                          {"received", e.chunks_received},
-                          {"expected", e.chunks_expected}});
+                          {"received", e.chunks.received()},
+                          {"expected", e.chunks.expected()}});
       }
     }
   }
@@ -242,18 +236,15 @@ bool EdgeISPipeline::accept_chunk(std::vector<LedgerEntry>::iterator it,
     return false;
   }
 
-  if (e.resend_audit >= 0) {
-    auto& audit = resend_audits_[static_cast<std::size_t>(e.resend_audit)];
-    audit.full_response_bytes = e.response_bytes;
-    audit.resent_bytes = e.resent_bytes;
-    audit.completed = true;
-  }
   if (tracer_ != nullptr) {
+    // `attempt` is the ledger's (0 = sent once), so on attempt 0 rtt_ms
+    // and the first-send-to-response span measure the same interval. The
+    // completing chunk's echo is on its `chunk` instant.
     tracer_->instant(rt::track::kLedger, "response", now_ms,
                      {{"request", e.request_id},
-                      {"attempt", resp.attempt},
+                      {"attempt", e.attempt},
                       {"rtt_ms", now_ms - e.sent_ms},
-                      {"chunks", e.chunks_expected},
+                      {"chunks", e.chunks.expected()},
                       {"bytes", e.response_bytes}});
   }
   edge_stats_.push_back(e.stats);
@@ -299,20 +290,15 @@ void EdgeISPipeline::send_attempt(LedgerEntry& e, double now_ms) {
                         {"ping", true}});
     }
     edge_.submit_ping(e.request_id, now_ms);
-  } else if (e.chunks_received > 0 && e.chunks_received < e.chunks_expected) {
+  } else if (e.chunks.received() > 0 && !e.chunks.complete()) {
     // Partial response on the books: retransmit the *missing chunk set*,
     // not the keyframe. The request names chunks by index (the receiver
     // never learned the instance ids of chunks that didn't arrive); the
     // edge answers from its result cache without re-running inference.
     net::ResendRequestMessage req;
     req.frame_index = e.frame_index;
-    std::vector<int> missing;
-    for (int i = 0; i < e.chunks_expected; ++i) {
-      if (!e.chunk_have[static_cast<std::size_t>(i)]) {
-        req.chunk_indices.push_back(i);
-        missing.push_back(i);
-      }
-    }
+    req.chunk_indices = e.chunks.missing_chunks();
+    const std::vector<int>& missing = req.chunk_indices;
     const std::size_t bytes = net::Codec::wire_bytes(req);
     ++health_.resend_requests;
     if (tracer_ != nullptr) {
@@ -320,17 +306,9 @@ void EdgeISPipeline::send_attempt(LedgerEntry& e, double now_ms) {
                        {{"request", e.request_id},
                         {"attempt", e.attempt},
                         {"missing", missing.size()},
-                        {"of", e.chunks_expected},
+                        {"of", e.chunks.expected()},
                         {"bytes", bytes}});
     }
-    ResendAudit audit;
-    audit.request_id = e.request_id;
-    audit.chunks_total = e.chunks_expected;
-    audit.chunks_missing = static_cast<int>(missing.size());
-    audit.original_request_bytes = e.bytes;
-    audit.resend_request_bytes = bytes;
-    e.resend_audit = static_cast<int>(resend_audits_.size());
-    resend_audits_.push_back(audit);
     if (!edge_.submit_resend(e.frame_index, now_ms, bytes, missing,
                              e.attempt)) {
       // Result cache miss (should not happen once a chunk arrived):
@@ -436,8 +414,8 @@ void EdgeISPipeline::service_ledger(double now_ms) {
                         {"ping", e.is_ping}});
       trace_rto_counters(now_ms);
     }
-    const bool progressed = e.chunks_received > e.chunks_at_last_timeout;
-    e.chunks_at_last_timeout = e.chunks_received;
+    const bool progressed = e.chunks.received() > e.chunks_at_last_timeout;
+    e.chunks_at_last_timeout = e.chunks.received();
     if (e.is_ping || (e.attempt >= config_.max_retries && !progressed)) {
       // Pings never retry: the probe cadence replaces them.
       e.dead = true;
@@ -536,7 +514,7 @@ bool EdgeISPipeline::has_outstanding_request() const {
 bool EdgeISPipeline::has_blocking_request() const {
   for (const auto& e : ledger_) {
     if (e.is_ping || e.dead || e.abandoned) continue;
-    if (e.chunks_received == 0) return true;
+    if (!e.chunks.started()) return true;
   }
   return false;
 }

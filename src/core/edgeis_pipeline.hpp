@@ -14,6 +14,7 @@
 #include "core/render_queue.hpp"
 #include "features/orb.hpp"
 #include "net/faults.hpp"
+#include "net/protocol.hpp"
 #include "runtime/stats.hpp"
 #include "scene/scene.hpp"
 #include "transfer/mask_transfer.hpp"
@@ -59,23 +60,6 @@ class EdgeISPipeline : public Pipeline {
 
   [[nodiscard]] bool degraded() const { return degraded_; }
   [[nodiscard]] int bootstrap_attempts() const { return bootstrap_attempts_; }
-
-  /// One missing-chunk retransmission, for tests and benches: the resend
-  /// request must be strictly smaller than both the original keyframe
-  /// upload and the full response it recovers a part of.
-  struct ResendAudit {
-    int request_id = 0;
-    int chunks_total = 0;
-    int chunks_missing = 0;                 // at the time of the resend
-    std::size_t original_request_bytes = 0; // the keyframe upload
-    std::size_t resend_request_bytes = 0;   // the missing-set request
-    std::size_t full_response_bytes = 0;    // all chunks (set on completion)
-    std::size_t resent_bytes = 0;           // re-emitted chunks only
-    bool completed = false;
-  };
-  [[nodiscard]] const std::vector<ResendAudit>& resend_audits() const {
-    return resend_audits_;
-  }
 
  private:
   enum class Phase { kBootstrap, kAwaitInitMasks, kRunning };
@@ -129,20 +113,18 @@ class EdgeISPipeline : public Pipeline {
     // arrives as one chunk per instance; each applied chunk extends the
     // deadline, and a deadline that fires with a partial set triggers a
     // missing-chunk resend instead of a full retransmission.
-    int chunks_expected = 0;   // 0 until the first chunk arrives
-    int chunks_received = 0;
+    net::ChunkAssembler chunks;
     // Chunk count at the previous deadline expiry: the retry budget
     // guards liveness, not progress — a timeout that follows fresh chunks
     // schedules another (tiny) missing-set resend even past max_retries,
     // while a stalled stream exhausts the budget as before. Bounded: each
     // extra round requires strictly more chunks on the books.
     int chunks_at_last_timeout = 0;
-    std::vector<bool> chunk_have;
-    std::vector<mask::InstanceMask> arrived_masks;  // cumulative
+    // Applied chunks' masks, cumulative in arrival order (partial sets
+    // annotate the keyframe as they grow).
+    std::vector<mask::InstanceMask> arrived_masks;
     segnet::InferenceStats stats;        // carried by every chunk
     std::size_t response_bytes = 0;      // distinct chunk payloads so far
-    std::size_t resent_bytes = 0;        // re-emitted chunk payloads
-    int resend_audit = -1;  // index into resend_audits_, -1 = none
   };
 
   void deliver_due_responses(double now_ms);
@@ -225,7 +207,6 @@ class EdgeISPipeline : public Pipeline {
   // Downlink direction of the full-duplex pair (the uplink queue lives in
   // the edge server, beside the uplink fault injector).
   net::SendQueue downlink_queue_;
-  std::vector<ResendAudit> resend_audits_;
   // Adaptive per-attempt deadlines: Jacobson/Karels RTT estimator seeded
   // from the link profile, fed by completed requests and ping probes.
   net::RttEstimator rto_;

@@ -25,10 +25,6 @@ struct FleetClientSpec {
   PipelineConfig pipeline;
 };
 
-/// A frame rendered from an edge annotation older than this counts as
-/// stale in the fleet report (also the default per-client staleness SLO).
-inline constexpr double kStaleThresholdMs = 1000.0;
-
 struct FleetConfig {
   std::vector<FleetClientSpec> clients;
   GpuConfig gpu;

@@ -61,8 +61,16 @@ void RunAccumulator::record(const scene::SceneSimulator& sim,
 
   if (i < warmup_frames_) return;
   const auto gts = sim.ground_truth_masks(frame);
-  result_.evaluator.add(eval::score_frame(i, out.rendered_masks, gts,
-                                          out.mobile_latency_ms));
+  auto fs = eval::score_frame(i, out.rendered_masks, gts,
+                              out.mobile_latency_ms);
+  const bool stale = out.degraded || out.staleness_ms < 0.0 ||
+                     out.staleness_ms > kStaleThresholdMs;
+  if (stale) ++result_.frames_stale;
+  if (out.staleness_ms >= 0.0) result_.staleness.add(out.staleness_ms);
+  for (const auto& o : fs.objects) {
+    (stale ? result_.stale_iou : result_.clean_iou).add(o.iou);
+  }
+  result_.evaluator.add(std::move(fs));
 }
 
 RunResult RunAccumulator::finish() {

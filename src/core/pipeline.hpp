@@ -14,6 +14,7 @@
 #include "eval/metrics.hpp"
 #include "net/link.hpp"
 #include "net/rto.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 #include "scene/scene.hpp"
 #include "segnet/model.hpp"
@@ -91,9 +92,21 @@ class Pipeline {
   virtual void set_tracer(rt::Tracer* tracer) { (void)tracer; }
 };
 
+/// A frame rendered from an edge annotation older than this counts as
+/// stale (RunResult's clean/stale split, the fleet report, and the default
+/// per-client staleness SLO).
+inline constexpr double kStaleThresholdMs = 1000.0;
+
 struct RunResult {
   eval::Summary summary;
   eval::Evaluator evaluator;
+  // Scored frames bucketed by annotation freshness: a frame is stale when
+  // degraded, before the first annotation, or when its annotation is
+  // older than kStaleThresholdMs; clean otherwise.
+  rt::SampleSet clean_iou;  // object-frame IoU on clean frames
+  rt::SampleSet stale_iou;  // ... on stale frames
+  rt::SampleSet staleness;  // per-frame annotation age (>= 0 only)
+  int frames_stale = 0;
   // Resource accounting over the run.
   double mean_cpu_utilization = 0.0;
   std::size_t peak_memory_bytes = 0;

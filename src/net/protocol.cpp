@@ -341,24 +341,21 @@ std::vector<MaskChunkMessage> chunk_mask_result(const MaskResultMessage& msg) {
   return chunks;
 }
 
-ChunkAssembler::Accept ChunkAssembler::accept(const MaskChunkMessage& chunk) {
-  if (chunk.chunk_count == 0 || chunk.chunk_index >= chunk.chunk_count) {
+ChunkAssembler::Accept ChunkAssembler::accept(int frame_index,
+                                              int chunk_index,
+                                              int chunk_count) {
+  if (chunk_count <= 0 || chunk_index < 0 || chunk_index >= chunk_count) {
     return Accept::kMismatch;
   }
   if (chunk_count_ == 0) {
-    frame_index_ = chunk.frame_index;
-    width_ = chunk.width;
-    height_ = chunk.height;
-    chunk_count_ = chunk.chunk_count;
-    chunks_.resize(static_cast<std::size_t>(chunk_count_));
+    frame_index_ = frame_index;
+    chunk_count_ = chunk_count;
     have_.assign(static_cast<std::size_t>(chunk_count_), false);
-  } else if (chunk.frame_index != frame_index_ ||
-             chunk.chunk_count != chunk_count_) {
+  } else if (frame_index != frame_index_ || chunk_count != chunk_count_) {
     return Accept::kMismatch;
   }
-  const auto idx = static_cast<std::size_t>(chunk.chunk_index);
+  const auto idx = static_cast<std::size_t>(chunk_index);
   if (have_[idx]) return Accept::kDuplicate;
-  chunks_[idx] = chunk;
   have_[idx] = true;
   ++received_;
   return Accept::kApplied;
@@ -370,30 +367,6 @@ std::vector<int> ChunkAssembler::missing_chunks() const {
     if (!have_[i]) missing.push_back(static_cast<int>(i));
   }
   return missing;
-}
-
-std::vector<int> ChunkAssembler::arrived_instances() const {
-  std::vector<int> ids;
-  for (std::size_t i = 0; i < have_.size(); ++i) {
-    if (have_[i] && !chunks_[i].instances.empty()) {
-      ids.push_back(chunks_[i].instances.front().instance_id);
-    }
-  }
-  return ids;
-}
-
-MaskResultMessage ChunkAssembler::result() const {
-  MaskResultMessage msg;
-  msg.frame_index = frame_index_;
-  msg.width = width_;
-  msg.height = height_;
-  for (std::size_t i = 0; i < have_.size(); ++i) {
-    if (!have_[i]) continue;
-    for (const auto& inst : chunks_[i].instances) {
-      msg.instances.push_back(inst);
-    }
-  }
-  return msg;
 }
 
 KeyframeMessage build_keyframe_message(

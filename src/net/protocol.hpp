@@ -189,37 +189,36 @@ struct MessageTraits<DeltaKeyframeMessage> {
 /// the result is empty).
 std::vector<MaskChunkMessage> chunk_mask_result(const MaskResultMessage& msg);
 
-/// Reassembles streamed chunks on the mobile side. Chunks may arrive in
-/// any order; duplicates are detected and ignored (idempotent accept).
+/// Chunk framing of one streamed response on the mobile side: which
+/// chunks of which frame have arrived. Chunks may arrive in any order;
+/// duplicates are detected and ignored (idempotent accept). Payloads stay
+/// with the caller, which decides the order it keeps them in.
 class ChunkAssembler {
  public:
   enum class Accept { kApplied, kDuplicate, kMismatch };
 
-  /// Feed one chunk. kMismatch means the chunk belongs to a different
-  /// frame or disagrees on the chunk count — the caller's routing bug or
-  /// a stale stream, never silently merged.
-  Accept accept(const MaskChunkMessage& chunk);
+  /// Record one chunk. The first accepted chunk fixes the frame and the
+  /// chunk count. kMismatch means the chunk is malformed (index outside
+  /// [0, count)), belongs to a different frame, or disagrees on the chunk
+  /// count — the other inference of a duplicated request, or the
+  /// caller's routing bug — and is never merged.
+  Accept accept(int frame_index, int chunk_index, int chunk_count);
 
   [[nodiscard]] bool started() const { return chunk_count_ > 0; }
   [[nodiscard]] bool complete() const {
     return chunk_count_ > 0 && received_ == chunk_count_;
   }
+  [[nodiscard]] int frame_index() const { return frame_index_; }
   [[nodiscard]] int received() const { return received_; }
+  /// Chunk count of the set (0 until the first chunk arrives).
   [[nodiscard]] int expected() const { return chunk_count_; }
   /// Chunk indices not yet received (empty when complete or not started).
   [[nodiscard]] std::vector<int> missing_chunks() const;
-  /// Instance ids of the chunks received so far, in chunk order.
-  [[nodiscard]] std::vector<int> arrived_instances() const;
-  /// Reassembled response (whatever arrived, in chunk order).
-  [[nodiscard]] MaskResultMessage result() const;
 
  private:
-  std::int32_t frame_index_ = 0;
-  std::int32_t width_ = 0;
-  std::int32_t height_ = 0;
+  int frame_index_ = 0;
   int chunk_count_ = 0;  // 0 until the first chunk arrives
   int received_ = 0;
-  std::vector<MaskChunkMessage> chunks_;  // indexed by chunk_index
   std::vector<bool> have_;
 };
 

@@ -9,8 +9,8 @@
 // milestones, so they are non-negative and sum to the span *exactly*; the
 // independent cross-check is the pipeline's own rtt_ms argument on the
 // response instant, which must agree with the reconstructed span to 1% on
-// requests that completed on their first attempt (hard-checked by fig11,
-// test_trace, and scripts/trace_summary.py).
+// requests that were sent once (hard-checked by fig11, test_trace, and
+// scripts/trace_summary.py).
 //
 // Works on single-client traces (canonical pids) and fleet traces (pid
 // stride 4 per client, shared edge pid 2 with per-event `session` args).
@@ -54,7 +54,7 @@ struct CritPathStages {
 struct CritPath {
   int session = 0;
   int request = 0;       // frame index (request id)
-  int attempt = 0;       // delivering attempt (0 = first send answered)
+  int attempt = 0;       // ledger attempt at completion (0 = sent once)
   int chunks = 0;        // chunk count from the response instant
   bool rider = false;    // batched behind another session's lead element
   int batch_size = 1;

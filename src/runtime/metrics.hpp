@@ -1,14 +1,14 @@
 // Named metrics registry: monotonically increasing counters, last-value
-// gauges, and bounded-memory histograms. Counters and gauges can be
-// pre-registered once (counter_handle / gauge_handle) so hot paths bump a
-// stable reference instead of re-hashing a string key per event; the
-// histogram backend is a P²/reservoir quantile sketch (QuantileSketch), so
-// a 1000-client fleet run costs O(clients · metrics) memory instead of
-// O(samples). A snapshot exports to JSON (edgeis_cli --metrics) and parses
-// back (MetricsSnapshot::parse_json) — including non-finite values, written
-// as the NaN/Infinity literals Python's json module round-trips — so
-// harnesses and tests can compare the numbers without an external JSON
-// dependency.
+// gauges, and bounded-memory histograms. The registry is filled after a
+// run (rt::publish derives it from LinkHealthStats), so entries are
+// addressed by string key; sketch_handle gives a histogram's stable
+// reference for bulk replay. The histogram backend is a P²/reservoir
+// quantile sketch (QuantileSketch), so a 1000-client fleet run costs
+// O(clients · metrics) memory instead of O(samples). A snapshot exports to
+// JSON (edgeis_cli --metrics) and parses back (MetricsSnapshot::parse_json)
+// — including non-finite values, written as the NaN/Infinity literals
+// Python's json module round-trips — so harnesses and tests can compare
+// the numbers without an external JSON dependency.
 #pragma once
 
 #include <algorithm>
@@ -305,10 +305,8 @@ class MetricsRegistry {
   explicit MetricsRegistry(std::size_t sketch_capacity = 1024)
       : sketch_capacity_(sketch_capacity) {}
 
-  /// Handle registration: one map lookup now, plain reference bumps on the
-  /// hot path thereafter. Valid for the registry's lifetime.
-  Counter& counter_handle(const std::string& name) { return counters_[name]; }
-  Gauge& gauge_handle(const std::string& name) { return gauges_[name]; }
+  /// The named histogram, created on first use: one map lookup, then
+  /// plain sketch adds. Valid for the registry's lifetime.
   QuantileSketch& sketch_handle(const std::string& name) {
     return histograms_.try_emplace(name, sketch_capacity_).first->second;
   }

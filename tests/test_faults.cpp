@@ -5,6 +5,11 @@
 // service, re-initializes nothing, and recovers with a refresh request.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/edgeis_pipeline.hpp"
 #include "net/faults.hpp"
 #include "net/link.hpp"
@@ -113,6 +118,14 @@ namespace {
 
 scene::SceneConfig fault_scene(int frames) {
   return scene::make_davis_scene(42, frames);
+}
+
+/// Numeric value of a trace event's `key` argument; NaN when absent.
+double arg_of(const rt::Tracer::Event& ev, const std::string& key) {
+  for (const auto& a : ev.args) {
+    if (a.key == key) return a.number;
+  }
+  return std::nan("");
 }
 
 core::PipelineConfig fast_failure_config() {
@@ -284,6 +297,8 @@ TEST(FaultIntegration, MidResponseOutageStreamsPartialThenResendsTail) {
   cfg.faults = DuplexFaultScript::asymmetric(
       FaultScript::none(), FaultScript::outage(2200.0, 2700.0));
   core::EdgeISPipeline p(scfg, cfg);
+  rt::Tracer tracer;
+  p.set_tracer(&tracer);
 
   int partial_render_frames = 0;
   int prev_partials = 0;
@@ -311,13 +326,48 @@ TEST(FaultIntegration, MidResponseOutageStreamsPartialThenResendsTail) {
   EXPECT_EQ(h.uplink_drops, 0);
 
   // At least one interrupted response was completed by a missing-tail
-  // resend that cost a fraction of re-sending anything in full.
+  // resend that cost a fraction of re-sending anything in full. Audited
+  // from the ledger instants: `send` carries the keyframe upload's bytes,
+  // `resend_missing` the resend request's bytes and missing/of counts,
+  // `response` the full response's bytes, and each `chunk` with
+  // resend=true the bytes of one re-emitted chunk.
+  struct Audit {
+    double request_bytes = -1.0;
+    double resent_bytes = 0.0;
+    double full_response_bytes = -1.0;      // < 0 until the set completes
+    std::vector<double> tail_resend_bytes;  // partial-set resends
+  };
+  std::map<int, Audit> audits;
+  for (const auto& ev : tracer.events()) {
+    const bool on_ledger = ev.pid == rt::track::kLedger.pid &&
+                           ev.tid == rt::track::kLedger.tid;
+    if (ev.ph != 'i' || !on_ledger || std::isnan(arg_of(ev, "request"))) {
+      continue;
+    }
+    Audit& a = audits[static_cast<int>(arg_of(ev, "request"))];
+    const double bytes = arg_of(ev, "bytes");
+    if (ev.name == "send") {
+      a.request_bytes = bytes;
+    } else if (ev.name == "resend_missing") {
+      const double missing = arg_of(ev, "missing");
+      if (missing > 0.0 && missing < arg_of(ev, "of")) {
+        a.tail_resend_bytes.push_back(bytes);
+      }
+    } else if (ev.name == "chunk" && arg_of(ev, "resend") != 0.0) {
+      a.resent_bytes += bytes;
+    } else if (ev.name == "response") {
+      a.full_response_bytes = bytes;
+    }
+  }
   bool tail_recovered = false;
-  for (const auto& a : p.resend_audits()) {
-    if (!a.completed || a.chunks_missing == 0) continue;
-    if (a.chunks_missing >= a.chunks_total) continue;
-    EXPECT_LT(a.resend_request_bytes, a.original_request_bytes);
-    EXPECT_LT(a.resend_request_bytes, a.full_response_bytes);
+  for (const auto& [request, a] : audits) {
+    if (a.full_response_bytes < 0.0 || a.tail_resend_bytes.empty()) continue;
+    SCOPED_TRACE(request);
+    ASSERT_GT(a.request_bytes, 0.0);
+    for (const double resend_bytes : a.tail_resend_bytes) {
+      EXPECT_LT(resend_bytes, a.request_bytes);
+      EXPECT_LT(resend_bytes, a.full_response_bytes);
+    }
     EXPECT_LT(a.resent_bytes, a.full_response_bytes);
     tail_recovered = true;
   }

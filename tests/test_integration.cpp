@@ -347,6 +347,42 @@ TEST(TrackDetectPipeline, DuplicatedRequestAdoptsOneChunkSet) {
   EXPECT_GT(mismatched, 0);  // the differently-framed case was exercised
 }
 
+// edgeIS with every uplink message duplicated: each keyframe runs two
+// inferences, whose chunk streams may be framed differently. A delayed
+// downlink keeps the first set open while the second stream lands (with
+// an on-time downlink the second stream arrives after the set closed and
+// is only a stale response). The ledger merges one chunk set per request
+// (net::ChunkAssembler: same-count copies fill holes or are duplicates,
+// other counts are mismatches, both counted as duplicate chunks), so no
+// frame renders an instance twice.
+TEST(EdgeIsPipeline, DuplicatedRequestsNeverRenderAnInstanceTwice) {
+  const auto scfg =
+      scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 120);
+  scene::SceneSimulator sim(scfg);
+  PipelineConfig cfg;
+  cfg.edge = sim::jetson_agx_xavier();
+  net::FaultScript up;
+  up.add({0.0, 1e18, net::FaultMode::kDuplicate, 1.0});
+  net::FaultScript down;
+  down.add({0.0, 1e18, net::FaultMode::kReorder, 0.5, 400.0});
+  cfg.faults = net::DuplexFaultScript::asymmetric(up, down);
+  EdgeISPipeline p(scfg, cfg);
+  int frames_with_masks = 0;
+  for (int i = 0; i < sim.total_frames(); ++i) {
+    const auto out = p.process(sim.render(i));
+    std::vector<int> ids;
+    for (const auto& m : out.rendered_masks) ids.push_back(m.instance_id);
+    std::sort(ids.begin(), ids.end());
+    const auto twice = std::adjacent_find(ids.begin(), ids.end());
+    EXPECT_TRUE(twice == ids.end())
+        << "frame " << i << " renders instance " << *twice << " twice";
+    if (!ids.empty()) ++frames_with_masks;
+  }
+  EXPECT_TRUE(p.initialized());
+  EXPECT_GT(frames_with_masks, 0);
+  EXPECT_GT(p.link_health().duplicate_chunks, 0);
+}
+
 // The redesigned uplink behind PipelineConfig.encoding: on a clean link
 // the canvas-delta encoder must cut uplink bytes substantially against
 // the full-CFRS path at essentially the same mask quality, and the epoch

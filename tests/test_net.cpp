@@ -164,6 +164,11 @@ MaskResultMessage two_instance_result() {
   return build_mask_result(7, 320, 240, {a, b});
 }
 
+ChunkAssembler::Accept accept(ChunkAssembler& assembler,
+                              const MaskChunkMessage& c) {
+  return assembler.accept(c.frame_index, c.chunk_index, c.chunk_count);
+}
+
 }  // namespace
 
 TEST(Chunks, RoundTripThroughWireReassembles) {
@@ -171,61 +176,101 @@ TEST(Chunks, RoundTripThroughWireReassembles) {
   const auto chunks = chunk_mask_result(msg);
   ASSERT_EQ(chunks.size(), 2u);
 
+  // Every chunk survives the wire, and concatenating their instances in
+  // chunk order gives back the monolithic message.
+  MaskResultMessage rebuilt;
+  rebuilt.frame_index = msg.frame_index;
+  rebuilt.width = msg.width;
+  rebuilt.height = msg.height;
   ChunkAssembler asm_;
   for (const auto& c : chunks) {
     const auto parsed = Codec::decode<MaskChunkMessage>(Codec::encode(c));
-    EXPECT_EQ(asm_.accept(parsed), ChunkAssembler::Accept::kApplied);
+    EXPECT_EQ(parsed, c);
+    EXPECT_EQ(parsed.frame_index, msg.frame_index);
+    EXPECT_EQ(parsed.width, msg.width);
+    EXPECT_EQ(parsed.height, msg.height);
+    EXPECT_EQ(accept(asm_, parsed), ChunkAssembler::Accept::kApplied);
+    for (const auto& inst : parsed.instances) {
+      rebuilt.instances.push_back(inst);
+    }
   }
   ASSERT_TRUE(asm_.complete());
-  const auto rebuilt = asm_.result();
-  EXPECT_EQ(rebuilt.frame_index, 7);
-  ASSERT_EQ(rebuilt.instances.size(), 2u);
-  EXPECT_EQ(rebuilt.instances[0].instance_id, 5);
-  EXPECT_EQ(rebuilt.instances[1].instance_id, 11);
-  // The reassembled message rasterizes exactly like the monolithic one.
-  const auto masks = reconstruct_masks(rebuilt);
-  const auto direct = reconstruct_masks(msg);
-  ASSERT_EQ(masks.size(), direct.size());
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    EXPECT_GT(masks[i].iou(direct[i]), 0.999);
-  }
+  EXPECT_EQ(asm_.frame_index(), 7);
+  EXPECT_EQ(rebuilt, msg);
 }
 
 TEST(Chunks, OutOfOrderArrivalReassemblesInStreamOrder) {
   auto chunks = chunk_mask_result(two_instance_result());
   ASSERT_EQ(chunks.size(), 2u);
+  // The caller files each payload under its chunk index, as the
+  // track-detect pipeline does.
+  std::vector<int> by_index(chunks.size(), -1);
   ChunkAssembler asm_;
-  EXPECT_EQ(asm_.accept(chunks[1]), ChunkAssembler::Accept::kApplied);
+  EXPECT_EQ(accept(asm_, chunks[1]), ChunkAssembler::Accept::kApplied);
+  by_index[1] = chunks[1].instances.front().instance_id;
   EXPECT_FALSE(asm_.complete());
   EXPECT_EQ(asm_.missing_chunks(), std::vector<int>{0});
-  EXPECT_EQ(asm_.accept(chunks[0]), ChunkAssembler::Accept::kApplied);
+  EXPECT_EQ(accept(asm_, chunks[0]), ChunkAssembler::Accept::kApplied);
+  by_index[0] = chunks[0].instances.front().instance_id;
   ASSERT_TRUE(asm_.complete());
+  EXPECT_TRUE(asm_.missing_chunks().empty());
   // Stream (chunk-index) order, regardless of arrival order.
-  EXPECT_EQ(asm_.arrived_instances(), (std::vector<int>{5, 11}));
+  EXPECT_EQ(by_index, (std::vector<int>{5, 11}));
 }
 
 TEST(Chunks, DuplicateChunkIsIdempotent) {
   const auto chunks = chunk_mask_result(two_instance_result());
   ChunkAssembler asm_;
-  EXPECT_EQ(asm_.accept(chunks[0]), ChunkAssembler::Accept::kApplied);
-  EXPECT_EQ(asm_.accept(chunks[0]), ChunkAssembler::Accept::kDuplicate);
+  EXPECT_EQ(accept(asm_, chunks[0]), ChunkAssembler::Accept::kApplied);
+  EXPECT_EQ(accept(asm_, chunks[0]), ChunkAssembler::Accept::kDuplicate);
   EXPECT_EQ(asm_.received(), 1);
-  EXPECT_EQ(asm_.accept(chunks[1]), ChunkAssembler::Accept::kApplied);
+  EXPECT_EQ(accept(asm_, chunks[1]), ChunkAssembler::Accept::kApplied);
   EXPECT_TRUE(asm_.complete());
-  EXPECT_EQ(asm_.result().instances.size(), 2u);
+  EXPECT_EQ(asm_.received(), 2);
+  // A copy arriving after the set closed is still a duplicate.
+  EXPECT_EQ(accept(asm_, chunks[1]), ChunkAssembler::Accept::kDuplicate);
+  EXPECT_EQ(asm_.received(), 2);
 }
 
 TEST(Chunks, ForeignFrameOrCountMismatchRejected) {
   const auto chunks = chunk_mask_result(two_instance_result());
   ChunkAssembler asm_;
-  ASSERT_EQ(asm_.accept(chunks[0]), ChunkAssembler::Accept::kApplied);
+  ASSERT_EQ(accept(asm_, chunks[0]), ChunkAssembler::Accept::kApplied);
   auto foreign = chunks[1];
   foreign.frame_index = 99;
-  EXPECT_EQ(asm_.accept(foreign), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(accept(asm_, foreign), ChunkAssembler::Accept::kMismatch);
   auto wrong_count = chunks[1];
   wrong_count.chunk_count = 5;
-  EXPECT_EQ(asm_.accept(wrong_count), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(accept(asm_, wrong_count), ChunkAssembler::Accept::kMismatch);
   EXPECT_EQ(asm_.received(), 1);
+  EXPECT_EQ(asm_.expected(), 2);
+  EXPECT_EQ(asm_.missing_chunks(), std::vector<int>{1});
+}
+
+TEST(Chunks, MalformedFramingIsMismatch) {
+  // Index at or past the count, a negative index, or a non-positive
+  // count: rejected before and after a set has started, and never starts
+  // one.
+  ChunkAssembler fresh;
+  EXPECT_EQ(fresh.accept(7, 2, 2), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(fresh.accept(7, 5, 2), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(fresh.accept(7, -1, 2), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(fresh.accept(7, 0, 0), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(fresh.accept(7, 0, -3), ChunkAssembler::Accept::kMismatch);
+  EXPECT_FALSE(fresh.started());
+  EXPECT_EQ(fresh.received(), 0);
+  EXPECT_EQ(fresh.expected(), 0);
+  EXPECT_TRUE(fresh.missing_chunks().empty());
+
+  ChunkAssembler started;
+  ASSERT_EQ(started.accept(7, 0, 2), ChunkAssembler::Accept::kApplied);
+  EXPECT_EQ(started.accept(7, 2, 2), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(started.accept(7, -1, 2), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(started.accept(7, 0, 0), ChunkAssembler::Accept::kMismatch);
+  EXPECT_EQ(started.received(), 1);
+  EXPECT_EQ(started.missing_chunks(), std::vector<int>{1});
+  EXPECT_EQ(started.accept(7, 1, 2), ChunkAssembler::Accept::kApplied);
+  EXPECT_TRUE(started.complete());
 }
 
 TEST(Chunks, EmptyResultIsOneTerminalChunk) {
@@ -236,10 +281,11 @@ TEST(Chunks, EmptyResultIsOneTerminalChunk) {
   const auto chunks = chunk_mask_result(empty);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_TRUE(chunks[0].instances.empty());
+  EXPECT_EQ(chunks[0].chunk_count, 1);
   ChunkAssembler asm_;
-  EXPECT_EQ(asm_.accept(chunks[0]), ChunkAssembler::Accept::kApplied);
+  EXPECT_EQ(accept(asm_, chunks[0]), ChunkAssembler::Accept::kApplied);
   EXPECT_TRUE(asm_.complete());
-  EXPECT_TRUE(asm_.result().instances.empty());
+  EXPECT_EQ(asm_.frame_index(), 3);
 }
 
 TEST(Chunks, ResendRequestRoundTripAndSize) {
@@ -444,18 +490,15 @@ MaskResultMessage four_instance_result() {
 }  // namespace
 
 TEST(ChunksProperty, AssemblerIdempotentUnderAnyInterleaving) {
-  // The assembler must be a pure function of the *set* of chunks it has
-  // applied: any seeded random interleaving of duplicates and reorderings
-  // reassembles to the byte-identical message.
-  const auto chunks = chunk_mask_result(four_instance_result());
+  // The assembler's verdict is a pure function of the *set* of chunks it
+  // has applied: under any seeded random interleaving of duplicates and
+  // reorderings, exactly the first copy of each chunk is applied, so a
+  // caller that files applied payloads by chunk index reassembles the
+  // byte-identical message.
+  const auto msg = four_instance_result();
+  const auto chunks = chunk_mask_result(msg);
   ASSERT_EQ(chunks.size(), 4u);
-
-  ChunkAssembler ordered;
-  for (const auto& c : chunks) {
-    ASSERT_EQ(ordered.accept(c), ChunkAssembler::Accept::kApplied);
-  }
-  ASSERT_TRUE(ordered.complete());
-  const auto want = Codec::encode(ordered.result());
+  const auto want = Codec::encode(msg);
 
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     rt::Rng rng(seed);
@@ -470,20 +513,29 @@ TEST(ChunksProperty, AssemblerIdempotentUnderAnyInterleaving) {
     }
 
     ChunkAssembler asm_;
-    int applied = 0;
+    std::vector<bool> seen(chunks.size(), false);
+    std::vector<MaskChunkMessage> filed(chunks.size());
     for (int idx : schedule) {
-      const auto verdict = asm_.accept(chunks[idx]);
-      if (verdict == ChunkAssembler::Accept::kApplied) {
-        ++applied;
-      } else {
+      const auto verdict = accept(asm_, chunks[idx]);
+      const auto i = static_cast<std::size_t>(idx);
+      if (seen[i]) {
         ASSERT_EQ(verdict, ChunkAssembler::Accept::kDuplicate);
+      } else {
+        ASSERT_EQ(verdict, ChunkAssembler::Accept::kApplied);
+        seen[i] = true;
+        filed[i] = chunks[i];
       }
     }
-    EXPECT_EQ(applied, 4);
     ASSERT_TRUE(asm_.complete());
     EXPECT_EQ(asm_.received(), 4);
-    EXPECT_EQ(Codec::encode(asm_.result()), want);
-    EXPECT_EQ(asm_.arrived_instances(), ordered.arrived_instances());
+    MaskResultMessage rebuilt;
+    rebuilt.frame_index = msg.frame_index;
+    rebuilt.width = msg.width;
+    rebuilt.height = msg.height;
+    for (const auto& c : filed) {
+      for (const auto& inst : c.instances) rebuilt.instances.push_back(inst);
+    }
+    EXPECT_EQ(Codec::encode(rebuilt), want);
   }
 }
 

@@ -388,25 +388,19 @@ TEST(Metrics, FuzzedRegistriesRoundTripExactly) {
 
 TEST(Metrics, HandlesAliasStringApisAndStayStable) {
   rt::MetricsRegistry reg;
-  rt::Counter& c = reg.counter_handle("hits");
-  rt::Gauge& g = reg.gauge_handle("level");
   rt::QuantileSketch& h = reg.sketch_handle("lat");
-  c.add();
-  reg.counter_add("hits", 2.0);  // same underlying cell as the handle
-  g.set(7.5);
   h.add(3.0);
-  reg.observe("lat", 5.0);
+  reg.observe("lat", 5.0);  // same underlying sketch as the handle
   // Map nodes are stable: spraying more registrations must not move the
-  // handles.
+  // handle.
   for (int i = 0; i < 100; ++i) {
-    reg.counter_add("other" + std::to_string(i));
+    reg.observe("other" + std::to_string(i), 1.0);
   }
-  c.add();
-  EXPECT_EQ(reg.counter("hits"), 4.0);
-  EXPECT_EQ(reg.gauge("level"), 7.5);
+  h.add(4.0);
   ASSERT_NE(reg.histogram("lat"), nullptr);
-  EXPECT_EQ(reg.histogram("lat")->count(), 2u);
+  EXPECT_EQ(reg.histogram("lat")->count(), 3u);
   EXPECT_EQ(reg.histogram("lat"), &h);
+  EXPECT_EQ(&reg.sketch_handle("lat"), &h);
 }
 
 // ---------------------------------------------------------------------------
