@@ -4,9 +4,12 @@
 // model's constants.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "features/descriptor.hpp"
+#include "features/detector.hpp"
 #include "features/matcher.hpp"
 #include "features/orb.hpp"
 #include "mask/mask.hpp"
@@ -48,6 +51,30 @@ static void BM_OrbExtract(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OrbExtract)->Unit(benchmark::kMillisecond);
+
+static void BM_BriefDescribe(benchmark::State& state) {
+  // The descriptor stage of BM_OrbExtract alone: the same pyramid and
+  // FAST keypoints, described every iteration.
+  const auto& frame = test_frame();
+  const feat::OrbOptions opts;
+  std::vector<img::GrayImage> pyramid;
+  img::build_blurred_pyramid_into(frame.intensity, opts.pyramid_levels,
+                                  pyramid);
+  std::vector<std::vector<feat::Keypoint>> keypoints;
+  for (std::size_t level = 0; level < pyramid.size(); ++level) {
+    feat::DetectorOptions d = opts.detector;
+    d.max_per_cell = std::max(1, d.max_per_cell >> level);
+    keypoints.push_back(feat::detect_fast(pyramid[level], d));
+  }
+  const feat::BriefDescriptorExtractor brief;
+  for (auto _ : state) {
+    for (std::size_t level = 0; level < pyramid.size(); ++level) {
+      benchmark::DoNotOptimize(
+          brief.compute_all(pyramid[level], keypoints[level]));
+    }
+  }
+}
+BENCHMARK(BM_BriefDescribe)->Unit(benchmark::kMillisecond);
 
 static void BM_BruteForceMatch(benchmark::State& state) {
   const auto& frame = test_frame();

@@ -25,28 +25,72 @@ BriefDescriptorExtractor::BriefDescriptorExtractor(int patch_radius)
   }
 }
 
-Descriptor BriefDescriptorExtractor::compute(const img::GrayImage& image,
-                                             const Keypoint& kp) const {
+namespace {
+
+// img::Image::sample_bilinear without the border clamp, for a point whose
+// 2x2 neighbourhood lies inside the image. x, y >= 0, so truncation is
+// floor; the interpolation is the same expression term by term.
+double sample_interior(const std::uint8_t* data, std::size_t stride,
+                       double x, double y) {
+  const int x0 = static_cast<int>(x);
+  const int y0 = static_cast<int>(y);
+  const double fx = x - x0;
+  const double fy = y - y0;
+  const std::uint8_t* p = data + static_cast<std::size_t>(y0) * stride + x0;
+  const double v00 = p[0];
+  const double v10 = p[1];
+  const double v01 = p[stride];
+  const double v11 = p[stride + 1];
+  return (1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10 +
+         (1 - fx) * fy * v01 + fx * fy * v11;
+}
+
+}  // namespace
+
+template <typename Sample>
+Descriptor BriefDescriptorExtractor::describe(const Keypoint& kp,
+                                              Sample sample) const {
   Descriptor d;
   const float c = std::cos(kp.angle);
   const float s = std::sin(kp.angle);
   const double x0 = kp.pixel.x;
   const double y0 = kp.pixel.y;
 
-  for (std::size_t i = 0; i < pattern_.size(); ++i) {
-    const auto& t = pattern_[i];
-    // Rotate both sample points by the keypoint orientation.
-    const double ax = x0 + c * t.ax - s * t.ay;
-    const double ay = y0 + s * t.ax + c * t.ay;
-    const double bx = x0 + c * t.bx - s * t.by;
-    const double by = y0 + s * t.bx + c * t.by;
-    const double va = image.sample_bilinear(ax, ay);
-    const double vb = image.sample_bilinear(bx, by);
-    if (va < vb) {
-      d.bits[i / 64] |= (1ULL << (i % 64));
+  // Bits accumulate in a register word, set branch-free: each comparison
+  // is a coin flip the branch predictor cannot learn.
+  for (std::size_t w = 0; w < d.bits.size(); ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < 64; ++j) {
+      const auto& t = pattern_[w * 64 + j];
+      // Rotate both sample points by the keypoint orientation.
+      const double ax = x0 + c * t.ax - s * t.ay;
+      const double ay = y0 + s * t.ax + c * t.ay;
+      const double bx = x0 + c * t.bx - s * t.by;
+      const double by = y0 + s * t.bx + c * t.by;
+      const bool bit = sample(ax, ay) < sample(bx, by);
+      word |= static_cast<std::uint64_t>(bit) << j;
     }
+    d.bits[w] = word;
   }
   return d;
+}
+
+Descriptor BriefDescriptorExtractor::compute(const img::GrayImage& image,
+                                             const Keypoint& kp) const {
+  const double m = interior_margin();
+  const double x = kp.pixel.x;
+  const double y = kp.pixel.y;
+  if (x >= m && y >= m && x <= image.width() - 1 - m &&
+      y <= image.height() - 1 - m) {
+    const std::uint8_t* data = image.data();
+    const auto stride = static_cast<std::size_t>(image.width());
+    return describe(kp, [data, stride](double sx, double sy) {
+      return sample_interior(data, stride, sx, sy);
+    });
+  }
+  return describe(kp, [&image](double sx, double sy) {
+    return image.sample_bilinear(sx, sy);
+  });
 }
 
 std::vector<Feature> BriefDescriptorExtractor::compute_all(

@@ -3,6 +3,7 @@
 // across runs and across the two devices comparing them.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "features/feature.hpp"
@@ -27,10 +28,21 @@ class BriefDescriptorExtractor {
 
   [[nodiscard]] int patch_radius() const noexcept { return patch_radius_; }
 
+  /// Keypoints at least this many pixels from every border sample without
+  /// clamping. A pattern coordinate is at most patch_radius − 1, so a
+  /// rotated sample lies within (patch_radius − 1)·√2 of the keypoint;
+  /// +2 covers the bilinear +1 neighbour and float rounding.
+  [[nodiscard]] int interior_margin() const noexcept {
+    const double reach = (patch_radius_ - 1) * std::sqrt(2.0);
+    return static_cast<int>(std::ceil(reach)) + 2;
+  }
+
  private:
   struct TestPair {
     float ax, ay, bx, by;
   };
+  template <typename Sample>
+  Descriptor describe(const Keypoint& kp, Sample sample) const;
   int patch_radius_;
   std::vector<TestPair> pattern_;  // 256 comparison pairs
 };

@@ -74,22 +74,42 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Standard normal via Marsaglia polar method.
-  double normal() noexcept {
-    if (has_spare_) {
-      has_spare_ = false;
-      return spare_;
-    }
+  /// One accepted draw of the Marsaglia polar method: (u, v) uniform in
+  /// the unit disc minus its centre, s = u² + v². The two normals are
+  /// u·f and v·f with f = polar_factor(s).
+  struct PolarDraw {
+    double u, v, s;
+  };
+  // Forced inline: without it normal() grows past the size at which GCC
+  // inlines it into loops such as the BRIEF pattern draw in set-up.
+  [[gnu::always_inline]] PolarDraw polar_draw() noexcept {
     double u, v, s;
     do {
       u = uniform(-1.0, 1.0);
       v = uniform(-1.0, 1.0);
       s = u * u + v * v;
     } while (s >= 1.0 || s == 0.0);
-    const double f = sqrt_ratio(s);
-    spare_ = v * f;
+    return {u, v, s};
+  }
+
+  /// sqrt(-2 ln s / s). No <cmath> in the header's hot path; call libm
+  /// directly.
+  static double polar_factor(double s) noexcept {
+    return __builtin_sqrt(-2.0 * __builtin_log(s) / s);
+  }
+
+  /// Standard normal via Marsaglia polar method: returns u·f and keeps v·f
+  /// as the spare for the next call.
+  double normal() noexcept {
+    if (has_spare_) {
+      has_spare_ = false;
+      return spare_;
+    }
+    const PolarDraw d = polar_draw();
+    const double f = polar_factor(d.s);
+    spare_ = d.v * f;
     has_spare_ = true;
-    return u * f;
+    return d.u * f;
   }
 
   /// Normal with given mean and standard deviation.
@@ -106,11 +126,6 @@ class Rng {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
-  }
-  static double sqrt_ratio(double s) noexcept {
-    // sqrt(-2 ln s / s) without <cmath> in the header's hot path is not
-    // worth the contortion; call libm directly.
-    return __builtin_sqrt(-2.0 * __builtin_log(s) / s);
   }
 
   std::uint64_t state_[4]{};

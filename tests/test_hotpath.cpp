@@ -4,10 +4,12 @@
 // single-candidate ratio-test semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <vector>
 
+#include "features/descriptor.hpp"
 #include "features/detector.hpp"
 #include "features/feature.hpp"
 #include "features/matcher.hpp"
@@ -292,6 +294,145 @@ TEST(Pyramid, OrbExtractDeterministicAcrossScratchReuse) {
     EXPECT_EQ(first[i].kp.pixel.x, second[i].kp.pixel.x);
     EXPECT_EQ(first[i].kp.pixel.y, second[i].kp.pixel.y);
     EXPECT_EQ(first[i].desc.bits, second[i].desc.bits);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BRIEF: the clamp-free interior path against the clamped sampling it
+// replaces for keypoints away from the border.
+
+namespace {
+
+struct PatternPair {
+  float ax, ay, bx, by;
+};
+
+// The descriptor's comparison pattern, drawn as BriefDescriptorExtractor
+// draws it.
+std::vector<PatternPair> brief_pattern(int patch_radius) {
+  rt::Rng rng(0xb51ef5eedULL);
+  const double sigma = patch_radius / 2.5;
+  auto draw = [&]() {
+    double v;
+    do {
+      v = rng.normal(0.0, sigma);
+    } while (std::abs(v) > patch_radius - 1);
+    return static_cast<float>(v);
+  };
+  std::vector<PatternPair> pattern;
+  for (int i = 0; i < 256; ++i) {
+    pattern.push_back({draw(), draw(), draw(), draw()});
+  }
+  return pattern;
+}
+
+// Every sample point through the border-clamping sample_bilinear.
+Descriptor clamped_brief(const std::vector<PatternPair>& pattern,
+                         const img::GrayImage& image, const Keypoint& kp) {
+  Descriptor d;
+  const float c = std::cos(kp.angle);
+  const float s = std::sin(kp.angle);
+  const double x0 = kp.pixel.x;
+  const double y0 = kp.pixel.y;
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    const auto& t = pattern[i];
+    const double ax = x0 + c * t.ax - s * t.ay;
+    const double ay = y0 + s * t.ax + c * t.ay;
+    const double bx = x0 + c * t.bx - s * t.by;
+    const double by = y0 + s * t.bx + c * t.by;
+    const double va = image.sample_bilinear(ax, ay);
+    const double vb = image.sample_bilinear(bx, by);
+    if (va < vb) d.bits[i / 64] |= (1ULL << (i % 64));
+  }
+  return d;
+}
+
+std::vector<float> test_angles() {
+  std::vector<float> angles;
+  for (int i = 0; i < 16; ++i) {
+    angles.push_back(static_cast<float>(i * M_PI / 8.0));
+  }
+  for (const double a : {-M_PI, -0.3, 0.7853981, 2.2, 5.9}) {
+    angles.push_back(static_cast<float>(a));
+  }
+  return angles;
+}
+
+}  // namespace
+
+TEST(Brief, MatchesClampedReferenceAtEveryBorderDistance) {
+  for (const int radius : {15, 8}) {
+    const BriefDescriptorExtractor brief(radius);
+    const auto pattern = brief_pattern(radius);
+    const int margin = brief.interior_margin();
+    SCOPED_TRACE(radius);
+    const auto image = random_image(640, 480, 31 + radius);
+    std::vector<img::GrayImage> pyr;
+    img::build_blurred_pyramid_into(image, 4, pyr);
+    ASSERT_EQ(pyr.size(), 4u);
+    int interior = 0, border = 0;
+    for (std::size_t level = 0; level < pyr.size(); ++level) {
+      const auto& im = pyr[level];
+      const double w = im.width(), h = im.height();
+      std::vector<geom::Vec2> pixels;
+      for (int d = 0; d <= margin + 3; ++d) {
+        for (const double frac : {0.0, 0.5, 0.999}) {
+          const double e = d + frac;
+          pixels.push_back({e, h / 2});          // left
+          pixels.push_back({w - 1 - e, h / 2});  // right
+          pixels.push_back({w / 2, e});          // top
+          pixels.push_back({w / 2, h - 1 - e});  // bottom
+          pixels.push_back({e, h - 1 - e});      // corner
+        }
+      }
+      for (const auto& px : pixels) {
+        const bool inside_x = px.x >= margin && px.x <= w - 1 - margin;
+        const bool inside_y = px.y >= margin && px.y <= h - 1 - margin;
+        (inside_x && inside_y ? interior : border) += 1;
+        for (const float angle : test_angles()) {
+          Keypoint kp;
+          kp.pixel = px;
+          kp.angle = angle;
+          const Descriptor want = clamped_brief(pattern, im, kp);
+          ASSERT_EQ(brief.compute(im, kp).bits, want.bits)
+              << "level " << level << " at " << px.x << "," << px.y;
+        }
+      }
+    }
+    EXPECT_GT(interior, 100);  // both paths ran
+    EXPECT_GT(border, 100);
+  }
+}
+
+TEST(Brief, MarginCoversLargestRotatedPatternOffset) {
+  // A keypoint `margin` pixels in samples at most max_offset away, and
+  // the bilinear 2x2 neighbourhood reaches one pixel further: both must
+  // stay inside the image, so max_offset + 1 < margin.
+  for (const int radius : {4, 8, 15, 31}) {
+    const int margin = BriefDescriptorExtractor(radius).interior_margin();
+    double max_norm = 0.0;
+    double max_offset = 0.0;
+    for (const auto& t : brief_pattern(radius)) {
+      const double norm_a = std::hypot(double{t.ax}, double{t.ay});
+      const double norm_b = std::hypot(double{t.bx}, double{t.by});
+      max_norm = std::max({max_norm, norm_a, norm_b});
+      for (int i = 0; i < 3600; ++i) {
+        const float angle = static_cast<float>(i * M_PI / 1800.0);
+        const float c = std::cos(angle);
+        const float s = std::sin(angle);
+        auto reach = [&](float px, float py) {
+          // The descriptor's own arithmetic, about a keypoint at 0.
+          const double rx = 0.0 + c * px - s * py;
+          const double ry = 0.0 + s * px + c * py;
+          return std::max(std::abs(rx), std::abs(ry));
+        };
+        max_offset = std::max(max_offset, reach(t.ax, t.ay));
+        max_offset = std::max(max_offset, reach(t.bx, t.by));
+      }
+    }
+    EXPECT_LT(max_norm + 1.0, margin) << "radius " << radius;
+    EXPECT_LT(max_offset + 1.0, margin) << "radius " << radius;
+    EXPECT_LE(max_offset, max_norm + 1e-4) << "radius " << radius;
   }
 }
 

@@ -2,11 +2,16 @@
 // rendering consistency (intensity / instance ids / depth) and presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "runtime/rng.hpp"
 #include "scene/mesh.hpp"
 #include "scene/presets.hpp"
 #include "scene/scene.hpp"
+#include "scene/texture.hpp"
 
 using namespace edgeis;
 using namespace edgeis::scene;
@@ -421,4 +426,371 @@ TEST(StressPresets, CrowdIsCrowdedAndDynamic) {
   }
   EXPECT_GE(dynamic, 4);
   EXPECT_GE(scripted_presence, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The renderer's fast paths (memoized texture cells, two-phase sensor
+// noise) against the straightforward renderer they replace: a fresh
+// floor + hash3 per written pixel and one rng.normal per pixel. Both must
+// give the same bytes.
+
+namespace reference {
+
+std::uint8_t texture_value(const geom::Vec3& p_obj, std::uint64_t seed,
+                           double scale) {
+  const auto cx = static_cast<std::int64_t>(std::floor(p_obj.x * scale));
+  const auto cy = static_cast<std::int64_t>(std::floor(p_obj.y * scale));
+  const auto cz = static_cast<std::int64_t>(std::floor(p_obj.z * scale));
+  const double coarse = hash3(cx, cy, cz, seed);
+  const double f = 3.1;  // non-commensurate with the coarse lattice
+  const auto fx = static_cast<std::int64_t>(std::floor(p_obj.x * scale * f));
+  const auto fy = static_cast<std::int64_t>(std::floor(p_obj.y * scale * f));
+  const auto fz = static_cast<std::int64_t>(std::floor(p_obj.z * scale * f));
+  const double fine = hash3(fx, fy, fz, seed ^ 0xf1e5ULL);
+  const double v = 45.0 + 170.0 * coarse + 16.0 * (fine - 0.5);
+  return static_cast<std::uint8_t>(std::clamp(v, 15.0, 240.0));
+}
+
+struct ClipVertex {
+  geom::Vec3 cam;  // camera-space position
+  geom::Vec3 obj;  // object-space position (texture coordinate)
+};
+
+// Clip a triangle against the near plane z = near. Emits 0, 1 or 2
+// triangles (Sutherland–Hodgman on one plane).
+int clip_near(const ClipVertex in[3], double near_z, ClipVertex out[4]) {
+  int n = 0;
+  for (int i = 0; i < 3; ++i) {
+    const ClipVertex& a = in[i];
+    const ClipVertex& b = in[(i + 1) % 3];
+    const bool ain = a.cam.z >= near_z;
+    const bool bin = b.cam.z >= near_z;
+    if (ain) out[n++] = a;
+    if (ain != bin) {
+      const double t = (near_z - a.cam.z) / (b.cam.z - a.cam.z);
+      ClipVertex v;
+      v.cam = a.cam + (b.cam - a.cam) * t;
+      v.obj = a.obj + (b.obj - a.obj) * t;
+      out[n++] = v;
+    }
+  }
+  return n;  // polygon vertex count (0..4)
+}
+
+constexpr double kNearZ = 0.05;
+
+void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
+                    const geom::SE3& t_co, std::uint16_t instance_id,
+                    std::uint64_t tex_seed, double tex_scale,
+                    img::GrayImage& intensity, img::IdImage& instance_ids,
+                    img::DepthImage& depth) {
+  std::vector<geom::Vec3> cam_pos(mesh.vertices.size());
+  for (std::size_t i = 0; i < mesh.vertices.size(); ++i) {
+    cam_pos[i] = t_co * mesh.vertices[i];
+  }
+
+  for (const auto& tri : mesh.triangles) {
+    ClipVertex in[3] = {{cam_pos[tri.a], mesh.vertices[tri.a]},
+                        {cam_pos[tri.b], mesh.vertices[tri.b]},
+                        {cam_pos[tri.c], mesh.vertices[tri.c]}};
+    ClipVertex poly[4];
+    const int n = clip_near(in, kNearZ, poly);
+    for (int k = 2; k < n; ++k) {
+      const ClipVertex* v[3] = {&poly[0], &poly[k - 1], &poly[k]};
+      // Project.
+      geom::Vec2 px[3];
+      double inv_z[3];
+      for (int i = 0; i < 3; ++i) {
+        const auto p = cam.project(v[i]->cam, kNearZ * 0.5);
+        if (!p) goto next_subtri;
+        px[i] = *p;
+        inv_z[i] = 1.0 / v[i]->cam.z;
+      }
+      {
+        // Bounding box in pixels.
+        const int x0 = std::max(
+            0, static_cast<int>(std::floor(
+                   std::min({px[0].x, px[1].x, px[2].x}))));
+        const int x1 = std::min(
+            cam.width - 1, static_cast<int>(std::ceil(
+                               std::max({px[0].x, px[1].x, px[2].x}))));
+        const int y0 = std::max(
+            0, static_cast<int>(std::floor(
+                   std::min({px[0].y, px[1].y, px[2].y}))));
+        const int y1 = std::min(
+            cam.height - 1, static_cast<int>(std::ceil(
+                                std::max({px[0].y, px[1].y, px[2].y}))));
+        const double area = (px[1].x - px[0].x) * (px[2].y - px[0].y) -
+                            (px[1].y - px[0].y) * (px[2].x - px[0].x);
+        if (std::abs(area) < 1e-9) continue;
+        const double inv_area = 1.0 / area;
+
+        for (int y = y0; y <= y1; ++y) {
+          for (int x = x0; x <= x1; ++x) {
+            const double fx = x + 0.5, fy = y + 0.5;
+            // Barycentric via edge functions (sign-consistent with area).
+            double w0 = ((px[1].x - fx) * (px[2].y - fy) -
+                         (px[1].y - fy) * (px[2].x - fx)) * inv_area;
+            double w1 = ((px[2].x - fx) * (px[0].y - fy) -
+                         (px[2].y - fy) * (px[0].x - fx)) * inv_area;
+            double w2 = 1.0 - w0 - w1;
+            if (w0 < 0 || w1 < 0 || w2 < 0) continue;
+            // Perspective-correct interpolation.
+            const double iz =
+                w0 * inv_z[0] + w1 * inv_z[1] + w2 * inv_z[2];
+            const double z = 1.0 / iz;
+            if (z >= depth.at(x, y)) continue;
+            const geom::Vec3 obj =
+                (v[0]->obj * (w0 * inv_z[0]) + v[1]->obj * (w1 * inv_z[1]) +
+                 v[2]->obj * (w2 * inv_z[2])) * z;
+            depth.at(x, y) = static_cast<float>(z);
+            instance_ids.at(x, y) = instance_id;
+            intensity.at(x, y) = texture_value(obj, tex_seed, tex_scale);
+          }
+        }
+      }
+    next_subtri:;
+    }
+  }
+}
+
+RenderedFrame render(const SceneConfig& cfg, int frame_index) {
+  const auto& cam = cfg.camera;
+  const Mesh room = make_room(cfg.room_size, cfg.room_height, cfg.room_size);
+  RenderedFrame frame;
+  frame.index = frame_index;
+  frame.timestamp = frame_index / cfg.fps;
+  frame.intensity = img::GrayImage(cam.width, cam.height, 0);
+  frame.instance_ids = img::IdImage(cam.width, cam.height, 0);
+  frame.depth = img::DepthImage(cam.width, cam.height, 1e30f);
+  frame.true_t_cw = cfg.path.pose_at(frame.timestamp);
+
+  // Background room.
+  rasterize_mesh(cam, room, frame.true_t_cw, 0, cfg.noise_seed ^ 0x400d, 3.0,
+                 frame.intensity, frame.instance_ids, frame.depth);
+
+  // Objects. Poses are recorded for every configured object (the vector
+  // stays index-aligned with config().objects); only objects whose
+  // presence window covers the frame are drawn.
+  frame.true_t_wo.reserve(cfg.objects.size());
+  for (const auto& obj : cfg.objects) {
+    const geom::SE3 t_wo = obj.motion.pose_at(frame.timestamp);
+    frame.true_t_wo.push_back(t_wo);
+    if (!obj.present_at(frame.timestamp)) continue;
+    rasterize_mesh(cam, obj.mesh, frame.true_t_cw * t_wo,
+                   static_cast<std::uint16_t>(obj.instance_id),
+                   obj.texture_seed, obj.texture_scale, frame.intensity,
+                   frame.instance_ids, frame.depth);
+  }
+
+  // Scripted global lighting (exposure shifts, flashes). Applied before
+  // sensor noise, as real illumination would be.
+  if (!cfg.lighting.empty()) {
+    const auto [gain, bias] = cfg.lighting.at(frame.timestamp);
+    if (gain != 1.0 || bias != 0.0) {
+      for (int y = 0; y < cam.height; ++y) {
+        auto* row = frame.intensity.row(y);
+        for (int x = 0; x < cam.width; ++x) {
+          const double v = gain * row[x] + bias;
+          row[x] = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+        }
+      }
+    }
+  }
+
+  // Sensor noise (deterministic per frame).
+  if (cfg.pixel_noise_sigma > 0.0) {
+    rt::Rng rng(cfg.noise_seed * 0x51ed2701ULL +
+                static_cast<std::uint64_t>(frame_index));
+    for (int y = 0; y < cam.height; ++y) {
+      auto* row = frame.intensity.row(y);
+      for (int x = 0; x < cam.width; ++x) {
+        const double v = row[x] + rng.normal(0.0, cfg.pixel_noise_sigma);
+        row[x] = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+      }
+    }
+  }
+  return frame;
+}
+
+img::IdImage unoccluded_ids(const SceneConfig& cfg, int frame_index,
+                            int object_index) {
+  const auto& cam = cfg.camera;
+  const auto& obj = cfg.objects.at(static_cast<std::size_t>(object_index));
+  img::GrayImage intensity(cam.width, cam.height, 0);
+  img::IdImage ids(cam.width, cam.height, 0);
+  img::DepthImage depth(cam.width, cam.height, 1e30f);
+  const double t = frame_index / cfg.fps;
+  if (obj.present_at(t)) {
+    const geom::SE3 t_cw = cfg.path.pose_at(t);
+    rasterize_mesh(cam, obj.mesh, t_cw * obj.motion.pose_at(t),
+                   static_cast<std::uint16_t>(obj.instance_id),
+                   obj.texture_seed, obj.texture_scale, intensity, ids,
+                   depth);
+  }
+  return ids;
+}
+
+}  // namespace reference
+
+namespace {
+
+template <typename T>
+bool same_bytes(const img::Image<T>& a, const img::Image<T>& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+void expect_matches_reference(const SceneConfig& cfg, int frame_index) {
+  const auto fast = SceneSimulator(cfg).render(frame_index);
+  const auto ref = reference::render(cfg, frame_index);
+  EXPECT_TRUE(same_bytes(fast.intensity, ref.intensity))
+      << cfg.name << " seed " << cfg.noise_seed << " frame " << frame_index;
+  EXPECT_TRUE(same_bytes(fast.instance_ids, ref.instance_ids))
+      << cfg.name << " seed " << cfg.noise_seed << " frame " << frame_index;
+  EXPECT_TRUE(same_bytes(fast.depth, ref.depth))
+      << cfg.name << " seed " << cfg.noise_seed << " frame " << frame_index;
+}
+
+std::vector<SceneConfig> every_preset(std::uint64_t seed) {
+  std::vector<SceneConfig> out;
+  for (const char* name : {"davis", "kitti", "xiph", "field"}) {
+    out.push_back(make_dataset_scene(name, seed, 90));
+  }
+  for (const StressRegime regime : kAllStressRegimes) {
+    out.push_back(make_stress_scene(regime, seed, 90));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(RendererEquivalence, EveryPresetMatchesReferenceRenderer) {
+  for (const std::uint64_t seed : {3ULL, 42ULL}) {
+    for (const SceneConfig& cfg : every_preset(seed)) {
+      for (const int frame : {0, 37, 89}) {
+        expect_matches_reference(cfg, frame);
+      }
+    }
+  }
+}
+
+TEST(RendererEquivalence, UnoccludedMaskMatchesReference) {
+  for (const StressRegime regime : kAllStressRegimes) {
+    const SceneConfig cfg = make_stress_scene(regime, 11, 90);
+    const SceneSimulator sim(cfg);
+    for (const int frame : {10, 60}) {
+      for (std::size_t k = 0; k < cfg.objects.size(); ++k) {
+        const int index = static_cast<int>(k);
+        const auto id = static_cast<std::uint16_t>(cfg.objects[k].instance_id);
+        const auto fast = sim.unoccluded_mask(frame, index);
+        const auto ids = reference::unoccluded_ids(cfg, frame, index);
+        const auto ref = mask::mask_from_id_image(ids, id);
+        ASSERT_EQ(fast.pixel_count(), ref.pixel_count())
+            << cfg.name << " object " << id << " frame " << frame;
+        EXPECT_EQ(fast.class_id, static_cast<int>(cfg.objects[k].cls));
+        for (int y = 0; y < cfg.camera.height; ++y) {
+          for (int x = 0; x < cfg.camera.width; ++x) {
+            ASSERT_EQ(fast.get(x, y), ref.get(x, y))
+                << cfg.name << " object " << id << " at " << x << "," << y;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RendererEquivalence, OddPixelCountAndNoiselessFrames) {
+  // A 5x3 sensor has an odd pixel count: the last pixel takes a fresh
+  // pair's first normal and its spare goes unused.
+  SceneConfig tiny = make_davis_scene(9, 30);
+  tiny.camera.width = 5;
+  tiny.camera.height = 3;
+  tiny.camera.cx = 2.5;
+  tiny.camera.cy = 1.5;
+  tiny.camera.fx = tiny.camera.fy = 4.0;
+  for (const int frame : {0, 11, 29}) expect_matches_reference(tiny, frame);
+
+  // Several noise blocks plus an odd remainder.
+  SceneConfig odd = make_kitti_scene(9, 30);
+  odd.camera.width = 641;
+  odd.camera.height = 3;
+  expect_matches_reference(odd, 4);
+
+  SceneConfig quiet = make_field_scene(9, 30);
+  quiet.pixel_noise_sigma = 0.0;
+  expect_matches_reference(quiet, 12);
+}
+
+// The sampler against a fresh floor + hash3 on positions chosen to sit on
+// the memo's edges: exact lattice values of either octave, negative
+// coordinates, signed zeros, and a cell change after a long run of hits.
+TEST(TextureSampler, EdgePositionsMatchFreshLookup) {
+  const std::uint64_t seed = 0x7e57;
+  const double scale = 3.0;
+  std::vector<geom::Vec3> points;
+  // Positions whose scaled value lands on, or a few ulps either side of,
+  // an integer of the coarse (v * scale) or the fine (v * scale * 3.1)
+  // lattice.
+  auto near_lattice = [&](double v) {
+    double lo = v, hi = v;
+    for (int ulp = 0; ulp < 6; ++ulp) {
+      for (const double w : {lo, hi}) {
+        points.push_back({w, 0.25, -0.25});
+        points.push_back({0.1, w, 0.1});
+        points.push_back({-0.1, 0.2, w});
+        points.push_back({w, w, w});
+      }
+      lo = std::nextafter(lo, -1e9);
+      hi = std::nextafter(hi, 1e9);
+    }
+  };
+  int on_coarse = 0, on_fine = 0;
+  for (int k = -9; k <= 9; ++k) {
+    near_lattice(k / scale);
+    near_lattice(k / scale / 3.1);
+  }
+  for (const auto& q : points) {
+    on_coarse += q.x * scale == std::floor(q.x * scale) ? 1 : 0;
+    on_fine += q.x * scale * 3.1 == std::floor(q.x * scale * 3.1) ? 1 : 0;
+  }
+  EXPECT_GT(on_coarse, 20);  // the sweep really hits exact lattice values
+  EXPECT_GT(on_fine, 20);
+  // Signed zeros, alone and next to tiny negatives.
+  for (const double z : {0.0, -0.0, -1e-300, 1e-300, -0.0}) {
+    points.push_back({z, -0.0, z});
+    points.push_back({-0.0, z, 0.0});
+  }
+  // A long run inside one cell of both octaves, then a step out.
+  for (int i = 0; i < 1000; ++i) {
+    points.push_back({0.01 + i * 1e-6, 0.02, 0.03});
+  }
+  points.push_back({0.01 + 1000 * 1e-6, 0.02, 0.03});
+  points.push_back({1.0 / scale, 0.02, 0.03});
+  points.push_back({-1.0 / scale, 0.02, 0.03});
+  // A random walk through negative and positive space with small steps.
+  rt::Rng rng(5);
+  geom::Vec3 p{-2.0, -1.0, 0.5};
+  for (int i = 0; i < 20000; ++i) {
+    p.x += rng.uniform(-0.02, 0.021);
+    p.y += rng.uniform(-0.02, 0.02);
+    p.z += rng.uniform(-0.021, 0.02);
+    points.push_back(p);
+  }
+
+  // A fresh sampler's first lookup, including the origin cell of both
+  // octaves: it has no cached cell to hit.
+  const geom::Vec3 firsts[] = {{0.01, 0.02, 0.03}, {-0.0, 0.0, -0.0},
+                               {-0.01, -0.02, -0.03}, {2.5, -7.25, 0.125}};
+  for (const geom::Vec3& first : firsts) {
+    TextureSampler fresh(seed, scale);
+    EXPECT_EQ(fresh(first), reference::texture_value(first, seed, scale));
+  }
+
+  TextureSampler sampler(seed, scale);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(sampler(points[i]),
+              reference::texture_value(points[i], seed, scale))
+        << "point " << i;
+  }
 }
