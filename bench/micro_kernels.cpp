@@ -76,6 +76,24 @@ static void BM_BriefDescribe(benchmark::State& state) {
 }
 BENCHMARK(BM_BriefDescribe)->Unit(benchmark::kMillisecond);
 
+static void BM_FastDetect(benchmark::State& state) {
+  // The detector stage of BM_OrbExtract alone: FAST over the same
+  // blurred pyramid (3 levels), with the extractor's per-level options.
+  const auto& frame = test_frame();
+  const feat::OrbOptions opts;
+  std::vector<img::GrayImage> pyramid;
+  img::build_blurred_pyramid_into(frame.intensity, opts.pyramid_levels,
+                                  pyramid);
+  for (auto _ : state) {
+    for (std::size_t level = 0; level < pyramid.size(); ++level) {
+      feat::DetectorOptions d = opts.detector;
+      d.max_per_cell = std::max(1, d.max_per_cell >> level);
+      benchmark::DoNotOptimize(feat::detect_fast(pyramid[level], d));
+    }
+  }
+}
+BENCHMARK(BM_FastDetect)->Unit(benchmark::kMillisecond);
+
 static void BM_BruteForceMatch(benchmark::State& state) {
   const auto& frame = test_frame();
   feat::OrbExtractor orb;
@@ -124,6 +142,24 @@ static void BM_GroundTruthMasks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroundTruthMasks)->Unit(benchmark::kMillisecond);
+
+static void BM_MaskFill(benchmark::State& state) {
+  // Contour round trip of every ground-truth mask of one crowded frame:
+  // find_contours, then each contour filled back with rasterize_polygon,
+  // as mask transfer does per instance.
+  scene::SceneSimulator sim(
+      scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 240));
+  const auto masks = sim.ground_truth_masks(sim.render(120));
+  for (auto _ : state) {
+    for (const auto& m : masks) {
+      for (const auto& c : mask::find_contours(m)) {
+        benchmark::DoNotOptimize(
+            mask::rasterize_polygon(c, m.width(), m.height()));
+      }
+    }
+  }
+}
+BENCHMARK(BM_MaskFill)->Unit(benchmark::kMillisecond);
 
 static void BM_FullAnchorGeneration(benchmark::State& state) {
   const auto levels = segnet::default_fpn_levels();

@@ -1,17 +1,32 @@
 #include "features/descriptor.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "runtime/rng.hpp"
 
 namespace edgeis::feat {
 
 BriefDescriptorExtractor::BriefDescriptorExtractor(int patch_radius)
-    : patch_radius_(patch_radius) {
+    : patch_radius_(patch_radius), pattern_(&pattern_for(patch_radius)) {}
+
+const BriefDescriptorExtractor::Pattern&
+BriefDescriptorExtractor::pattern_for(int patch_radius) {
+  // The draw (about a thousand rejection-sampled normals) is a fixed
+  // function of the radius, so each radius is drawn once per process and
+  // shared. Map nodes never move: the returned reference stays valid.
+  static std::mutex lock;
+  static std::map<int, Pattern> patterns;
+  const std::lock_guard<std::mutex> guard(lock);
+  auto [it, inserted] = patterns.try_emplace(patch_radius);
+  if (!inserted) return it->second;
+
   // Fixed seed: the pattern is part of the descriptor definition, not a
   // per-run random choice.
   rt::Rng rng(0xb51ef5eedULL);
-  pattern_.reserve(256);
+  Pattern& pattern = it->second;
+  pattern.reserve(256);
   const double sigma = patch_radius / 2.5;
   auto draw = [&]() {
     double v;
@@ -21,8 +36,9 @@ BriefDescriptorExtractor::BriefDescriptorExtractor(int patch_radius)
     return static_cast<float>(v);
   };
   for (int i = 0; i < 256; ++i) {
-    pattern_.push_back({draw(), draw(), draw(), draw()});
+    pattern.push_back({draw(), draw(), draw(), draw()});
   }
+  return pattern;
 }
 
 namespace {
@@ -61,7 +77,7 @@ Descriptor BriefDescriptorExtractor::describe(const Keypoint& kp,
   for (std::size_t w = 0; w < d.bits.size(); ++w) {
     std::uint64_t word = 0;
     for (std::size_t j = 0; j < 64; ++j) {
-      const auto& t = pattern_[w * 64 + j];
+      const auto& t = (*pattern_)[w * 64 + j];
       // Rotate both sample points by the keypoint orientation.
       const double ax = x0 + c * t.ax - s * t.ay;
       const double ay = y0 + s * t.ax + c * t.ay;

@@ -1,6 +1,7 @@
 // Oriented BRIEF (rBRIEF-style) 256-bit descriptors. The comparison-point
-// pattern is generated once from a fixed seed so descriptors are stable
-// across runs and across the two devices comparing them.
+// pattern is generated once per patch radius from a fixed seed, so
+// descriptors are stable across runs and across the two devices comparing
+// them, and every extractor of a radius shares it.
 #pragma once
 
 #include <cmath>
@@ -41,10 +42,13 @@ class BriefDescriptorExtractor {
   struct TestPair {
     float ax, ay, bx, by;
   };
+  using Pattern = std::vector<TestPair>;  // 256 comparison pairs
+  /// The process-wide pattern of a patch radius, drawn on first use.
+  static const Pattern& pattern_for(int patch_radius);
   template <typename Sample>
   Descriptor describe(const Keypoint& kp, Sample sample) const;
   int patch_radius_;
-  std::vector<TestPair> pattern_;  // 256 comparison pairs
+  const Pattern* pattern_;  // shared, immutable
 };
 
 }  // namespace edgeis::feat

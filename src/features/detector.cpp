@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #include "runtime/arena.hpp"
 
@@ -13,54 +18,7 @@ constexpr int kCircle[16][2] = {
     {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0},  {3, 1},  {2, 2},  {1, 3},
     {0, 3},  {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3}};
 
-// ---- Scalar reference path (kept for equivalence tests). -----------------
-
-// Corner score: sum of absolute differences of contiguous arc pixels vs
-// center, a cheap stand-in for the exact FAST score.
-float corner_score_reference(const img::GrayImage& im, int x, int y,
-                             int threshold) {
-  const int c = im.at(x, y);
-  float score = 0.0f;
-  for (const auto& off : kCircle) {
-    const int v = im.at(x + off[0], y + off[1]);
-    const int d = std::abs(v - c);
-    if (d > threshold) score += static_cast<float>(d - threshold);
-  }
-  return score;
-}
-
-bool is_corner_reference(const img::GrayImage& im, int x, int y, int threshold,
-                         int min_consecutive) {
-  const int c = im.at(x, y);
-  const int hi = c + threshold;
-  const int lo = c - threshold;
-
-  // Quick reject using the 4 compass points: at least 3 of them must be
-  // consistently brighter or darker for a 9-consecutive arc to exist.
-  int brighter4 = 0, darker4 = 0;
-  for (int i : {0, 4, 8, 12}) {
-    const int v = im.at(x + kCircle[i][0], y + kCircle[i][1]);
-    brighter4 += (v > hi) ? 1 : 0;
-    darker4 += (v < lo) ? 1 : 0;
-  }
-  if (brighter4 < 3 && darker4 < 3) return false;
-
-  // Full segment test over the doubled circle to handle wrap-around.
-  int run_bright = 0, run_dark = 0;
-  for (int i = 0; i < 32; ++i) {
-    const auto& off = kCircle[i % 16];
-    const int v = im.at(x + off[0], y + off[1]);
-    run_bright = (v > hi) ? run_bright + 1 : 0;
-    run_dark = (v < lo) ? run_dark + 1 : 0;
-    if (run_bright >= min_consecutive || run_dark >= min_consecutive) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---- Shared back half: NMS + grid-bucketed retention. --------------------
-
+// NMS + grid-bucketed retention of the raw corners.
 std::vector<Keypoint> suppress_and_retain(const img::GrayImage& image,
                                           const DetectorOptions& opts,
                                           std::vector<Keypoint>&& raw) {
@@ -121,6 +79,26 @@ std::vector<Keypoint> suppress_and_retain(const img::GrayImage& image,
 
 float compute_orientation(const img::GrayImage& image, int x, int y,
                           int radius) {
+  if (x - radius >= 0 && y - radius >= 0 && x + radius < image.width() &&
+      y + radius < image.height()) {
+    // Interior: no clamping, and integer moments. Every term dx·v, dy·v
+    // is an integer and every partial sum stays far below 2^53, so the
+    // double sums of the border path below are exact and equal these.
+    long long m01 = 0, m10 = 0;
+    for (int dy = -radius; dy <= radius; ++dy) {
+      int half = 0;  // widest |dx| with dx² + dy² <= radius²
+      while ((half + 1) * (half + 1) + dy * dy <= radius * radius) ++half;
+      const std::uint8_t* row = image.row(y + dy) + x;
+      long long row_sum = 0;
+      for (int dx = -half; dx <= half; ++dx) {
+        m10 += static_cast<long long>(dx) * row[dx];
+        row_sum += row[dx];
+      }
+      m01 += dy * row_sum;
+    }
+    return static_cast<float>(std::atan2(static_cast<double>(m01),
+                                         static_cast<double>(m10)));
+  }
   double m01 = 0.0, m10 = 0.0;
   for (int dy = -radius; dy <= radius; ++dy) {
     for (int dx = -radius; dx <= radius; ++dx) {
@@ -148,22 +126,103 @@ std::vector<Keypoint> detect_fast(const img::GrayImage& image,
   for (int k = 0; k < 16; ++k) {
     coff[k] = kCircle[k][1] * stride + kCircle[k][0];
   }
-
-  rt::ArenaScope scratch;
-  auto cand = scratch.alloc<std::uint8_t>(static_cast<std::size_t>(w));
   const int t = opts.threshold;
+
+  // Segment test on a 16-bit arc mask (bit k = circle tap k passes): a run
+  // of `min_consecutive` taps exists, wrap-around included, when the mask
+  // doubled to 32 bits and ANDed with itself shifted 1 .. n−1 places keeps
+  // a bit. That is the walk over the doubled circle, whose runs end at
+  // index 31 at the latest; shifts of 32 or more clear every bit, as no
+  // run there reaches 33.
+  const int n = opts.min_consecutive;
+  const int shifts = std::min(n, 33) - 1;
+  const auto has_run = [shifts](unsigned arc) {
+    const std::uint64_t doubled = arc | (std::uint64_t{arc} << 16);
+    std::uint64_t run = doubled;
+    for (int i = 1; i <= shifts; ++i) run &= doubled >> i;
+    return run != 0;
+  };
+
+  // One compass-surviving pixel: the full segment test and, for corners,
+  // the score — the sum over taps of max(|v − c| − t, 0). With t >= -2^16
+  // every partial sum is an integer below 2^24, so the int sum converts to
+  // the float a float accumulation would reach.
+  const auto test_pixel = [&](const std::uint8_t* row, int x, int y) {
+    const std::uint8_t* center = row + x;
+    const int c = *center;
+    const int hi = c + t;
+    const int lo = c - t;
+    int v[16];
+    unsigned bright = 0, dark = 0;
+    for (int k = 0; k < 16; ++k) {
+      v[k] = center[coff[k]];
+      bright |= static_cast<unsigned>(v[k] > hi) << k;
+      dark |= static_cast<unsigned>(v[k] < lo) << k;
+    }
+    if (n > 0 && !has_run(bright) && !has_run(dark)) return;
+    int score = 0;
+    for (int k = 0; k < 16; ++k) score += std::max(std::abs(v[k] - c) - t, 0);
+    Keypoint kp;
+    kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
+    kp.score = static_cast<float>(score);
+    raw.push_back(kp);
+  };
+
+#ifdef __SSE2__
+  // The compass prefilter 16 pixels at a time. Saturating c + t and c − t
+  // are exact stand-ins: where c + t > 255 no byte is brighter, and where
+  // c − t < 0 none is darker. A block needs bytes x − 3 .. x + 18 of its
+  // row, and the last pixel of a block must be a detector pixel.
+  const bool vector_prefilter = t >= 0;
+  const __m128i t8 = _mm_set1_epi8(static_cast<char>(std::min(t, 255)));
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i ones = _mm_cmpeq_epi8(zero, zero);
+#endif
 
   for (int y = border; y < h - border; ++y) {
     const std::uint8_t* row = image.row(y);
     const std::uint8_t* row_n = image.row(y - 3);
     const std::uint8_t* row_s = image.row(y + 3);
+    int x = border;
 
-    // Compass prefilter as a branchless row sweep the compiler can
-    // vectorize: at least 3 of the 4 compass taps must be consistently
-    // brighter or darker for a 9-consecutive arc to exist. This is the
-    // same quick-reject as the reference, hoisted out of the per-pixel
-    // scattered-load path — typically >95% of pixels die here.
-    for (int x = border; x < w - border; ++x) {
+#ifdef __SSE2__
+    for (; vector_prefilter && x + 16 <= w - border; x += 16) {
+      const auto load = [](const std::uint8_t* p) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+      };
+      const __m128i c = load(row + x);
+      const __m128i hi = _mm_adds_epu8(c, t8);
+      const __m128i lo = _mm_subs_epu8(c, t8);
+      const __m128i taps[4] = {load(row_n + x), load(row + x + 3),
+                               load(row_s + x), load(row + x - 3)};
+      __m128i b[4], d[4];
+      for (int k = 0; k < 4; ++k) {
+        // v > hi exactly when v −sat hi is nonzero; v < lo likewise.
+        b[k] = _mm_xor_si128(
+            _mm_cmpeq_epi8(_mm_subs_epu8(taps[k], hi), zero), ones);
+        d[k] = _mm_xor_si128(
+            _mm_cmpeq_epi8(_mm_subs_epu8(lo, taps[k]), zero), ones);
+      }
+      // At least 3 of the 4: both of one pair and one of the other.
+      const auto three_of_four = [](const __m128i m[4]) {
+        const __m128i ab = _mm_and_si128(m[0], m[1]);
+        const __m128i cd = _mm_and_si128(m[2], m[3]);
+        return _mm_or_si128(_mm_and_si128(ab, _mm_or_si128(m[2], m[3])),
+                            _mm_and_si128(cd, _mm_or_si128(m[0], m[1])));
+      };
+      unsigned cand = static_cast<unsigned>(_mm_movemask_epi8(
+          _mm_or_si128(three_of_four(b), three_of_four(d))));
+      while (cand != 0) {
+        test_pixel(row, x + __builtin_ctz(cand), y);
+        cand &= cand - 1;
+      }
+    }
+#endif
+
+    // Scalar prefilter for the rest of the row: at least 3 of the 4
+    // compass taps must be consistently brighter or darker for a
+    // 9-consecutive arc to exist — typically >95% of pixels die here.
+    for (; x < w - border; ++x) {
       const int c = row[x];
       const int hi = c + t;
       const int lo = c - t;
@@ -171,62 +230,7 @@ std::vector<Keypoint> detect_fast(const img::GrayImage& image,
                            (row_s[x] > hi) + (row[x - 3] > hi);
       const int darker = (row_n[x] < lo) + (row[x + 3] < lo) +
                          (row_s[x] < lo) + (row[x - 3] < lo);
-      cand[x] = static_cast<std::uint8_t>((brighter >= 3) | (darker >= 3));
-    }
-
-    for (int x = border; x < w - border; ++x) {
-      if (!cand[x]) continue;
-      const std::uint8_t* center = row + x;
-      const int c = *center;
-      const int hi = c + t;
-      const int lo = c - t;
-      // Row-wise loads of the full circle once, then the segment test and
-      // the score both run over the register-resident copy.
-      int v[16];
-      for (int k = 0; k < 16; ++k) v[k] = center[coff[k]];
-
-      bool corner = false;
-      int run_bright = 0, run_dark = 0;
-      for (int i = 0; i < 32; ++i) {
-        const int vi = v[i & 15];
-        run_bright = (vi > hi) ? run_bright + 1 : 0;
-        run_dark = (vi < lo) ? run_dark + 1 : 0;
-        if (run_bright >= opts.min_consecutive ||
-            run_dark >= opts.min_consecutive) {
-          corner = true;
-          break;
-        }
-      }
-      if (!corner) continue;
-
-      float score = 0.0f;
-      for (int k = 0; k < 16; ++k) {
-        const int d = std::abs(v[k] - c);
-        if (d > t) score += static_cast<float>(d - t);
-      }
-      Keypoint kp;
-      kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
-      kp.score = score;
-      raw.push_back(kp);
-    }
-  }
-  return suppress_and_retain(image, opts, std::move(raw));
-}
-
-std::vector<Keypoint> detect_fast_reference(const img::GrayImage& image,
-                                            const DetectorOptions& opts) {
-  std::vector<Keypoint> raw;
-  const int border = 4;
-  for (int y = border; y < image.height() - border; ++y) {
-    for (int x = border; x < image.width() - border; ++x) {
-      if (!is_corner_reference(image, x, y, opts.threshold,
-                               opts.min_consecutive)) {
-        continue;
-      }
-      Keypoint kp;
-      kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
-      kp.score = corner_score_reference(image, x, y, opts.threshold);
-      raw.push_back(kp);
+      if (brighter >= 3 || darker >= 3) test_pixel(row, x, y);
     }
   }
   return suppress_and_retain(image, opts, std::move(raw));

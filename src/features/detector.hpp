@@ -20,19 +20,14 @@ struct DetectorOptions {
 };
 
 /// Detect corners on a single image. Keypoint positions are in this image's
-/// pixel coordinates; the caller scales for pyramid levels. Implemented
-/// with row-wise intensity loads (a vectorizable compass prefilter sweep,
-/// then precomputed linear circle offsets for survivors) — output is
-/// identical to detect_fast_reference.
+/// pixel coordinates; the caller scales for pyramid levels. A compass
+/// prefilter (16 pixels per step where SSE2 is available) passes few
+/// pixels to the full segment test, which runs on 16-bit arc masks.
 std::vector<Keypoint> detect_fast(const img::GrayImage& image,
                                   const DetectorOptions& opts = {});
 
-/// Scalar reference implementation (per-pixel scattered im.at() loads),
-/// kept beside the vectorized path for randomized equivalence tests.
-std::vector<Keypoint> detect_fast_reference(const img::GrayImage& image,
-                                            const DetectorOptions& opts = {});
-
 /// Intensity-centroid orientation (ORB): angle of the patch first moment.
+/// Pixels past the border are read clamped.
 float compute_orientation(const img::GrayImage& image, int x, int y,
                           int radius = 7);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -248,12 +249,17 @@ std::vector<Contour> find_contours(const InstanceMask& mask) {
   const auto bh = static_cast<std::size_t>(b.height());
   // Frame-scratch reuse: the box-sized visited map comes from the arena
   // (mask transfer runs this per instance per keyframe); the flood-fill
-  // stack keeps its capacity across calls the same way.
+  // seed stack keeps its capacity across calls the same way.
   rt::ArenaScope scratch;
   auto visited = scratch.alloc_filled<std::uint8_t>(bw * bh, 0);
   const auto seen = [&](int px, int py) -> std::uint8_t& {
     return visited[static_cast<std::size_t>(py - b.y0) * bw +
                    static_cast<std::size_t>(px - b.x0)];
+  };
+  // mask.get bounds-checks, so pixels outside the box fail it before the
+  // visited lookup.
+  const auto open = [&](int px, int py) {
+    return mask.get(px, py) && !seen(px, py);
   };
   thread_local std::vector<std::pair<int, int>> stack;
 
@@ -264,20 +270,27 @@ std::vector<Contour> find_contours(const InstanceMask& mask) {
       if (!is_boundary_start) continue;
 
       Contour c = trace_boundary(mask, x, y);
-      // Mark the whole component visited via flood fill so inner starts on
-      // the same blob don't retrace.
+      // Mark the whole 4-connected component visited so inner starts on
+      // the same blob don't retrace. Scanline fill: a seed marks its whole
+      // run of open pixels in the row, then seeds each open run of the
+      // rows above and below that touches the marked one.
       stack.assign(1, {x, y});
       while (!stack.empty()) {
-        auto [px, py] = stack.back();
+        const auto [px, py] = stack.back();
         stack.pop_back();
-        // mask.get bounds-checks, so out-of-box pushes die here before
-        // the visited lookup.
-        if (!mask.get(px, py) || seen(px, py)) continue;
-        seen(px, py) = 1;
-        stack.push_back({px - 1, py});
-        stack.push_back({px + 1, py});
-        stack.push_back({px, py - 1});
-        stack.push_back({px, py + 1});
+        if (!open(px, py)) continue;
+        int left = px, right = px;
+        while (open(left - 1, py)) --left;
+        while (open(right + 1, py)) ++right;
+        for (int i = left; i <= right; ++i) seen(i, py) = 1;
+        for (const int ny : {py - 1, py + 1}) {
+          bool in_run = false;
+          for (int i = left; i <= right; ++i) {
+            const bool o = open(i, ny);
+            if (o && !in_run) stack.push_back({i, ny});
+            in_run = o;
+          }
+        }
       }
       if (c.size() >= 3) contours.push_back(std::move(c));
     }
@@ -311,15 +324,56 @@ InstanceMask rasterize_polygon(const Contour& polygon, int width, int height) {
   if (window.empty()) return InstanceMask(width, height);
   img::Image<std::uint8_t> cells(window.width(), window.height(), 0);
 
-  // Even-odd scanline fill.
-  std::vector<double> xs;
+  // Even-odd scanline fill over an active-edge list. An edge can cross
+  // row y (centre fy = y + 0.5) only for floor(min y) <= y <= ceil(max y)
+  // − 1; it joins the list at the first such window row and leaves after
+  // the last. Edges with a NaN or level y never cross. The crossing
+  // predicate and arithmetic per row are the full scan's, and the list is
+  // kept in edge order, so xs reaches the sort in the full scan's order
+  // (which matters: infinite vertices give NaN crossings, and a sort's
+  // output with NaNs depends on its input order).
+  struct Edge {
+    int first, last;      // window rows it may cross
+    std::uint32_t index;  // polygon[index] -> polygon[index + 1]
+  };
   const std::size_t n = polygon.size();
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ya = polygon[i].y;
+    const double yb = polygon[(i + 1) % n].y;
+    if (!(ya < yb || yb < ya)) continue;
+    const double first = std::max(std::floor(std::min(ya, yb)),
+                                  static_cast<double>(window.y0));
+    const double last = std::min(std::ceil(std::max(ya, yb)) - 1.0,
+                                 static_cast<double>(window.y1 - 1));
+    if (!(first <= last)) continue;
+    edges.push_back({static_cast<int>(first), static_cast<int>(last),
+                     static_cast<std::uint32_t>(i)});
+  }
+  // By first row; stable, so edge order holds within a row.
+  std::stable_sort(
+      edges.begin(), edges.end(),
+      [](const Edge& a, const Edge& b) { return a.first < b.first; });
+  const auto by_index = [](const Edge& a, const Edge& b) {
+    return a.index < b.index;
+  };
+
+  std::vector<double> xs;
+  std::vector<Edge> active;
+  auto next = edges.begin();
   for (int y = window.y0; y < window.y1; ++y) {
     const double fy = static_cast<double>(y) + 0.5;
+    std::erase_if(active, [y](const Edge& e) { return e.last < y; });
+    const auto joined = static_cast<std::ptrdiff_t>(active.size());
+    for (; next != edges.end() && next->first == y; ++next) {
+      active.push_back(*next);
+    }
+    std::inplace_merge(active.begin(), active.begin() + joined, active.end(),
+                       by_index);
     xs.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const geom::Vec2& a = polygon[i];
-      const geom::Vec2& b = polygon[(i + 1) % n];
+    for (const Edge& e : active) {
+      const geom::Vec2& a = polygon[e.index];
+      const geom::Vec2& b = polygon[(e.index + 1) % n];
       if ((a.y <= fy && b.y > fy) || (b.y <= fy && a.y > fy)) {
         const double t = (fy - a.y) / (b.y - a.y);
         xs.push_back(a.x + t * (b.x - a.x));
@@ -328,11 +382,17 @@ InstanceMask rasterize_polygon(const Contour& polygon, int width, int height) {
     std::sort(xs.begin(), xs.end());
     auto* row = cells.row(y - window.y0);
     for (std::size_t i = 0; i + 1 < xs.size(); i += 2) {
-      const int x0 = static_cast<int>(std::max(
-          static_cast<double>(window.x0), std::ceil(xs[i] - 0.5)));
-      const int x1 = static_cast<int>(std::min(
-          static_cast<double>(window.x1 - 1), std::floor(xs[i + 1] - 0.5)));
-      if (x0 > x1) continue;
+      // Clamped in double and compared before the int conversion: a
+      // crossing past the int range (an infinite or huge vertex) would
+      // otherwise convert to garbage. std::max/min return the window
+      // bound when a crossing is NaN.
+      const double lo = std::max(static_cast<double>(window.x0),
+                                 std::ceil(xs[i] - 0.5));
+      const double hi = std::min(static_cast<double>(window.x1 - 1),
+                                 std::floor(xs[i + 1] - 0.5));
+      if (!(lo <= hi)) continue;
+      const int x0 = static_cast<int>(lo);
+      const int x1 = static_cast<int>(hi);
       std::memset(row + (x0 - window.x0), 1,
                   static_cast<std::size_t>(x1 - x0 + 1));
     }

@@ -94,6 +94,79 @@ int clip_near(const ClipVertex in[3], double near_z, ClipVertex out[4]) {
 /// unoccluded_mask() so both rasterize identically.
 constexpr double kNearZ = 0.05;
 
+// The x-range of one box row in which a pixel can pass the rasterizer's
+// w0/w1/w2 >= 0 test; every pixel outside it fails that test. Each edge
+// function E(fx) = (a.x - fx)(b.y - fy) - (a.y - fy)(b.x - fx) is linear
+// in the pixel centre fx with slope a.y - b.y and a zero at the edge's
+// crossing xc of the row. The computed weights differ from their real
+// values by less than `slack` in E units (rounding of the products, of
+// 1 - w0 - w1 and of the area; the bound grows with the box's reach), so a
+// pixel can pass only where sign(area)·E >= -slack on all three edges:
+// xc ± slack/|slope| per edge. The span widens that by 2 px for the
+// rounding of xc itself. An edge whose widening is not small and finite
+// bounds nothing, and so does every edge of a triangle with a vertex past
+// 2^40 px: there the row keeps the whole box.
+class RowSpans {
+ public:
+  RowSpans(const geom::Vec2 px[3], double area, int x0, int x1, int y0,
+           int y1)
+      : px_(px), x0_(x0), x1_(x1), positive_(area > 0) {
+    constexpr double kFar = 0x1p40;
+    double reach_x = 0.0, reach_y = 0.0;
+    for (int i = 0; i < 3; ++i) {
+      if (!(std::abs(px[i].x) < kFar && std::abs(px[i].y) < kFar)) return;
+      reach_x = std::max({reach_x, std::abs(px[i].x - (x0 + 0.5)),
+                          std::abs(px[i].x - (x1 + 0.5))});
+      reach_y = std::max({reach_y, std::abs(px[i].y - (y0 + 0.5)),
+                          std::abs(px[i].y - (y1 + 0.5))});
+    }
+    const double edge_terms = 2.0 * reach_x * reach_y;
+    const double area_terms = std::abs((px[1].x - px[0].x) *
+                                       (px[2].y - px[0].y)) +
+                              std::abs((px[1].y - px[0].y) *
+                                       (px[2].x - px[0].x));
+    slack_ = 32.0 * 0x1p-53 * (edge_terms + area_terms + std::abs(area));
+    bounded_ = true;
+  }
+
+  /// Inclusive pixel range [first, last] of row y; first > last if empty.
+  [[nodiscard]] std::pair<int, int> row(int y) const {
+    if (!bounded_) return {x0_, x1_};
+    const double fy = y + 0.5;
+    double lo = x0_, hi = x1_ + 1.0;  // pixel-centre bounds
+    // Edges in the weights' order: w0 over (p1, p2), w1 over (p2, p0),
+    // w2 over (p0, p1).
+    for (int i = 0; i < 3; ++i) {
+      const geom::Vec2& a = px_[(i + 1) % 3];
+      const geom::Vec2& b = px_[(i + 2) % 3];
+      const double slope = a.y - b.y;
+      const double widen = slack_ / std::abs(slope) + 2.0;
+      if (!(widen < 1e9)) continue;  // near-horizontal (or level) edge
+      const double xc = a.x + (fy - a.y) * (b.x - a.x) / (b.y - a.y);
+      if ((slope > 0) == positive_) {
+        lo = std::max(lo, xc - widen);
+      } else {
+        hi = std::min(hi, xc + widen);
+      }
+    }
+    // Pixel x has centre x + 0.5. Clamping in double keeps far crossings
+    // from overflowing int; lo > hi clamps to an empty range.
+    const double first = std::max(static_cast<double>(x0_),
+                                  std::ceil(lo - 0.5));
+    const double last = std::min(static_cast<double>(x1_),
+                                 std::floor(hi - 0.5));
+    if (!(first <= last)) return {x1_ + 1, x1_};
+    return {static_cast<int>(first), static_cast<int>(last)};
+  }
+
+ private:
+  const geom::Vec2* px_;
+  int x0_, x1_;
+  bool positive_;
+  bool bounded_ = false;
+  double slack_ = 0.0;
+};
+
 // Rasterize one mesh into the frame buffers: near-clip, project,
 // perspective-correct z-buffered fill with the procedural texture.
 void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
@@ -142,9 +215,11 @@ void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
                             (px[1].y - px[0].y) * (px[2].x - px[0].x);
         if (std::abs(area) < 1e-9) continue;
         const double inv_area = 1.0 / area;
+        const RowSpans spans(px, area, x0, x1, y0, y1);
 
         for (int y = y0; y <= y1; ++y) {
-          for (int x = x0; x <= x1; ++x) {
+          const auto [first, last] = spans.row(y);
+          for (int x = first; x <= last; ++x) {
             const double fx = x + 0.5, fy = y + 0.5;
             // Barycentric via edge functions (sign-consistent with area).
             double w0 = ((px[1].x - fx) * (px[2].y - fy) -

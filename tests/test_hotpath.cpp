@@ -117,19 +117,182 @@ TEST(Hamming, BoundedIsExactBelowBoundAndNeverFalselySmall) {
 }
 
 // ---------------------------------------------------------------------------
-// FAST detector vs scalar reference (exact: same scores, same order).
+// FAST detector vs the scalar detector it replaced (exact: same keypoints,
+// scores, angles and order).
+
+namespace reference {
+
+// Bresenham circle of radius 3 used by FAST (16 offsets, clockwise).
+constexpr int kCircle[16][2] = {
+    {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0},  {3, 1},  {2, 2},  {1, 3},
+    {0, 3},  {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3}};
+
+// Corner score: sum of absolute differences of contiguous arc pixels vs
+// center, a cheap stand-in for the exact FAST score.
+float corner_score_reference(const img::GrayImage& im, int x, int y,
+                             int threshold) {
+  const int c = im.at(x, y);
+  float score = 0.0f;
+  for (const auto& off : kCircle) {
+    const int v = im.at(x + off[0], y + off[1]);
+    const int d = std::abs(v - c);
+    if (d > threshold) score += static_cast<float>(d - threshold);
+  }
+  return score;
+}
+
+bool is_corner_reference(const img::GrayImage& im, int x, int y, int threshold,
+                         int min_consecutive) {
+  const int c = im.at(x, y);
+  const int hi = c + threshold;
+  const int lo = c - threshold;
+
+  // Quick reject using the 4 compass points: at least 3 of them must be
+  // consistently brighter or darker for a 9-consecutive arc to exist.
+  int brighter4 = 0, darker4 = 0;
+  for (int i : {0, 4, 8, 12}) {
+    const int v = im.at(x + kCircle[i][0], y + kCircle[i][1]);
+    brighter4 += (v > hi) ? 1 : 0;
+    darker4 += (v < lo) ? 1 : 0;
+  }
+  if (brighter4 < 3 && darker4 < 3) return false;
+
+  // Full segment test over the doubled circle to handle wrap-around.
+  int run_bright = 0, run_dark = 0;
+  for (int i = 0; i < 32; ++i) {
+    const auto& off = kCircle[i % 16];
+    const int v = im.at(x + off[0], y + off[1]);
+    run_bright = (v > hi) ? run_bright + 1 : 0;
+    run_dark = (v < lo) ? run_dark + 1 : 0;
+    if (run_bright >= min_consecutive || run_dark >= min_consecutive) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Intensity centroid with double sums over clamped reads everywhere.
+float compute_orientation(const img::GrayImage& image, int x, int y,
+                          int radius = 7) {
+  double m01 = 0.0, m10 = 0.0;
+  for (int dy = -radius; dy <= radius; ++dy) {
+    for (int dx = -radius; dx <= radius; ++dx) {
+      if (dx * dx + dy * dy > radius * radius) continue;
+      const double v = image.at_clamped(x + dx, y + dy);
+      m10 += dx * v;
+      m01 += dy * v;
+    }
+  }
+  return static_cast<float>(std::atan2(m01, m10));
+}
+
+// Score sort, NMS and grid-bucketed retention, as the detector does them.
+std::vector<Keypoint> suppress_and_retain(const img::GrayImage& image,
+                                          const DetectorOptions& opts,
+                                          std::vector<Keypoint>&& raw) {
+  std::sort(raw.begin(), raw.end(), [](const Keypoint& a, const Keypoint& b) {
+    return a.score > b.score;
+  });
+  const int w = image.width();
+  const int h = image.height();
+  std::vector<std::uint8_t> taken(
+      static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0);
+  std::vector<Keypoint> nms;
+  for (const auto& kp : raw) {
+    const int x = static_cast<int>(kp.pixel.x);
+    const int y = static_cast<int>(kp.pixel.y);
+    if (taken[static_cast<std::size_t>(y * w + x)]) continue;
+    nms.push_back(kp);
+    const int r = opts.nms_radius;
+    for (int ty = std::max(0, y - r); ty <= std::min(h - 1, y + r); ++ty) {
+      for (int tx = std::max(0, x - r); tx <= std::min(w - 1, x + r); ++tx) {
+        taken[static_cast<std::size_t>(ty * w + tx)] = 1;
+      }
+    }
+  }
+  const double cell_w = static_cast<double>(w) / opts.grid_cols;
+  const double cell_h = static_cast<double>(h) / opts.grid_rows;
+  std::vector<int> cell_counts(
+      static_cast<std::size_t>(opts.grid_cols * opts.grid_rows), 0);
+  std::vector<Keypoint> kept;
+  for (const auto& kp : nms) {
+    const int cx = std::min(opts.grid_cols - 1,
+                            static_cast<int>(kp.pixel.x / cell_w));
+    const int cy = std::min(opts.grid_rows - 1,
+                            static_cast<int>(kp.pixel.y / cell_h));
+    int& count =
+        cell_counts[static_cast<std::size_t>(cy * opts.grid_cols + cx)];
+    if (count >= opts.max_per_cell) continue;
+    ++count;
+    Keypoint k = kp;
+    k.angle = compute_orientation(image, static_cast<int>(kp.pixel.x),
+                                  static_cast<int>(kp.pixel.y));
+    kept.push_back(k);
+  }
+  return kept;
+}
+
+std::vector<Keypoint> detect_fast_reference(const img::GrayImage& image,
+                                            const DetectorOptions& opts) {
+  std::vector<Keypoint> raw;
+  const int border = 4;
+  for (int y = border; y < image.height() - border; ++y) {
+    for (int x = border; x < image.width() - border; ++x) {
+      if (!is_corner_reference(image, x, y, opts.threshold,
+                               opts.min_consecutive)) {
+        continue;
+      }
+      Keypoint kp;
+      kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
+      kp.score = corner_score_reference(image, x, y, opts.threshold);
+      raw.push_back(kp);
+    }
+  }
+  return suppress_and_retain(image, opts, std::move(raw));
+}
+
+}  // namespace reference
+
+namespace {
+
+// Same keypoints in the same order, with the same scores and angles.
+void expect_same_keypoints(const std::vector<Keypoint>& got,
+                           const std::vector<Keypoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pixel.x, want[i].pixel.x) << "keypoint " << i;
+    EXPECT_EQ(got[i].pixel.y, want[i].pixel.y) << "keypoint " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "keypoint " << i;
+    EXPECT_EQ(got[i].angle, want[i].angle) << "keypoint " << i;
+  }
+}
+
+// Noise plus flat blocks: flat areas saturate the compass tests at both
+// ends of the intensity range, noise fires the segment test.
+img::GrayImage mixed_image(int w, int h, std::uint64_t seed) {
+  auto im = random_image(w, h, seed);
+  rt::Rng rng(seed ^ 0x5a5a);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      const int block = (x / 7 + y / 5) % 4;
+      if (block == 0) im.at(x, y) = 0;
+      if (block == 1) im.at(x, y) = 255;
+      if (block == 2 && rng.chance(0.5)) {
+        im.at(x, y) = static_cast<std::uint8_t>(rng.chance(0.5) ? 3 : 252);
+      }
+    }
+  }
+  return im;
+}
+
+}  // namespace
 
 TEST(Detector, FastMatchesReferenceOnRandomImages) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE(seed);
     const auto noise = random_image(160, 120, seed);
-    const auto a = detect_fast(noise, {});
-    const auto b = detect_fast_reference(noise, {});
-    ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].pixel.x, b[i].pixel.x);
-      EXPECT_EQ(a[i].pixel.y, b[i].pixel.y);
-      EXPECT_EQ(a[i].score, b[i].score);
-    }
+    expect_same_keypoints(detect_fast(noise, {}),
+                          reference::detect_fast_reference(noise, {}));
   }
 }
 
@@ -144,14 +307,70 @@ TEST(Detector, FastMatchesReferenceAcrossOptionVariations) {
   for (const auto& opts : {DetectorOptions{}, strict, loose, wide_nms}) {
     const auto im = random_image(200, 150, 91);
     const auto a = detect_fast(im, opts);
-    const auto b = detect_fast_reference(im, opts);
-    ASSERT_EQ(a.size(), b.size());
     ASSERT_GT(a.size(), 0u);  // noise must actually fire the segment test
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].pixel.x, b[i].pixel.x);
-      EXPECT_EQ(a[i].pixel.y, b[i].pixel.y);
-      EXPECT_EQ(a[i].score, b[i].score);
-      EXPECT_EQ(a[i].angle, b[i].angle);
+    expect_same_keypoints(a, reference::detect_fast_reference(im, opts));
+  }
+}
+
+TEST(Detector, FastMatchesReferenceAtSaturatingThresholdsAndRunLengths) {
+  // Threshold 0 and thresholds whose c + t passes 255 (or c − t passes 0)
+  // for most pixels exercise the saturating prefilter; a negative one
+  // takes the scalar prefilter. Run lengths cover 1 and the full circle.
+  int fired = 0;
+  for (const int threshold : {0, 1, 12, 128, 243, 250, 255, 256, 400, -3}) {
+    for (const int run : {1, 9, 12, 16, 17, 40, 0}) {
+      DetectorOptions opts;
+      opts.threshold = threshold;
+      opts.min_consecutive = run;
+      opts.max_per_cell = 40;
+      for (const std::uint64_t seed : {5ull, 6ull}) {
+        SCOPED_TRACE("threshold " + std::to_string(threshold) + " run " +
+                     std::to_string(run) + " seed " + std::to_string(seed));
+        const auto im = mixed_image(83, 61, seed);
+        const auto got = detect_fast(im, opts);
+        fired += got.empty() ? 0 : 1;
+        expect_same_keypoints(got, reference::detect_fast_reference(im, opts));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(fired, 40);
+}
+
+TEST(Detector, FastMatchesReferenceOnNarrowImages) {
+  // Widths 9..40 leave the 16-pixel prefilter no block, one block or a
+  // block plus a tail shorter than a block.
+  DetectorOptions opts;
+  opts.threshold = 8;
+  for (int w = 9; w <= 40; ++w) {
+    for (const int h : {9, 10, 23}) {
+      for (const std::uint64_t seed : {11ull, 12ull}) {
+        SCOPED_TRACE("size " + std::to_string(w) + "x" + std::to_string(h));
+        const auto im = mixed_image(w, h, seed + static_cast<std::uint64_t>(w));
+        expect_same_keypoints(detect_fast(im, opts),
+                              reference::detect_fast_reference(im, opts));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Detector, OrientationMatchesDoubleSumAtEveryBorderDistance) {
+  const auto im = random_image(64, 48, 77);
+  const auto flat = blocky_image(64, 48, 9, 78);
+  for (const int radius : {0, 1, 3, 7, 12}) {
+    for (int d = 0; d <= radius + 2; ++d) {
+      const int xs[] = {d, im.width() - 1 - d, 32};
+      const int ys[] = {d, im.height() - 1 - d, 24};
+      for (const int x : xs) {
+        for (const int y : ys) {
+          for (const auto* image : {&im, &flat}) {
+            ASSERT_EQ(compute_orientation(*image, x, y, radius),
+                      reference::compute_orientation(*image, x, y, radius))
+                << "radius " << radius << " at " << x << "," << y;
+          }
+        }
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -536,6 +537,107 @@ void check_all_ops(const DenseMask& d, Rng& rng) {
   EXPECT_DOUBLE_EQ(m.iou(m), dense_iou(d, d));
 }
 
+// The polygon fill before the active-edge list: every edge tested on every
+// window row. Kept as the reference for inputs (NaN and infinite
+// vertices) on which the full-frame dense_rasterize is not defined. Fill
+// bounds stay in double: the old int conversion of a crossing past the
+// int range was undefined and crashed on a +inf crossing.
+InstanceMask scan_all_edges_rasterize(const Contour& polygon, int width,
+                                      int height) {
+  if (polygon.size() < 3) return InstanceMask(width, height);
+  double min_x = std::numeric_limits<double>::infinity(), min_y = min_x;
+  double max_x = -min_x, max_y = -min_x;
+  for (const auto& p : polygon) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) continue;
+    min_x = std::min(min_x, p.x);
+    max_x = std::max(max_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_y = std::max(max_y, p.y);
+  }
+  const auto clip = [](double v, int hi) {
+    return static_cast<int>(std::clamp(v, 0.0, static_cast<double>(hi)));
+  };
+  if (min_x > max_x) return InstanceMask(width, height);
+  const Box window{clip(std::floor(min_x), width),
+                   clip(std::floor(min_y), height),
+                   clip(std::ceil(max_x) + 1.0, width),
+                   clip(std::ceil(max_y) + 1.0, height)};
+  if (window.empty()) return InstanceMask(width, height);
+  edgeis::img::Image<std::uint8_t> cells(window.width(), window.height(), 0);
+  std::vector<double> xs;
+  const std::size_t n = polygon.size();
+  for (int y = window.y0; y < window.y1; ++y) {
+    const double fy = static_cast<double>(y) + 0.5;
+    xs.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& a = polygon[i];
+      const auto& b = polygon[(i + 1) % n];
+      if ((a.y <= fy && b.y > fy) || (b.y <= fy && a.y > fy)) {
+        const double t = (fy - a.y) / (b.y - a.y);
+        xs.push_back(a.x + t * (b.x - a.x));
+      }
+    }
+    std::sort(xs.begin(), xs.end());
+    auto* row = cells.row(y - window.y0);
+    for (std::size_t i = 0; i + 1 < xs.size(); i += 2) {
+      const double x0 = std::max(static_cast<double>(window.x0),
+                                 std::ceil(xs[i] - 0.5));
+      const double x1 = std::min(static_cast<double>(window.x1 - 1),
+                                 std::floor(xs[i + 1] - 0.5));
+      for (double x = x0; x <= x1; ++x) {
+        row[static_cast<int>(x) - window.x0] = 1;
+      }
+    }
+  }
+  return InstanceMask(width, height, window, std::move(cells));
+}
+
+void expect_same_mask(const InstanceMask& got, const InstanceMask& want,
+                      const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(got.width(), want.width());
+  ASSERT_EQ(got.height(), want.height());
+  ASSERT_EQ(got.pixel_count(), want.pixel_count());
+  ASSERT_EQ(got.bounding_box(), want.bounding_box());
+  for (int y = 0; y < want.height(); ++y) {
+    for (int x = 0; x < want.width(); ++x) {
+      ASSERT_EQ(got.get(x, y), want.get(x, y)) << "pixel " << x << "," << y;
+    }
+  }
+}
+
+// A mask drawn as text: '#' is set.
+DenseMask from_rows(const std::vector<std::string>& rows) {
+  DenseMask d(static_cast<int>(rows.front().size()),
+              static_cast<int>(rows.size()));
+  for (int y = 0; y < d.h; ++y) {
+    for (int x = 0; x < d.w; ++x) {
+      const auto& row = rows[static_cast<std::size_t>(y)];
+      d.set(x, y, row[static_cast<std::size_t>(x)] == '#');
+    }
+  }
+  return d;
+}
+
+// Square spiral wall, one pixel thick, with one-pixel corridors: sides of
+// size − 1 three times, then pairs two shorter each turn.
+DenseMask spiral(int size) {
+  DenseMask d(size, size);
+  const int dx[] = {1, 0, -1, 0}, dy[] = {0, 1, 0, -1};
+  int x = 0, y = 0;
+  d.set(x, y);
+  for (int side = 0;; ++side) {
+    const int len = side < 3 ? size - 1 : size - 1 - 2 * ((side - 1) / 2);
+    if (len <= 0) break;
+    for (int i = 0; i < len; ++i) {
+      x += dx[side % 4];
+      y += dy[side % 4];
+      d.set(x, y);
+    }
+  }
+  return d;
+}
+
 }  // namespace
 
 TEST(MaskEquivalence, EmptyAndSinglePixel) {
@@ -682,5 +784,96 @@ TEST(MaskEquivalence, OnePassExtractionMatchesPerIdMasks) {
       EXPECT_EQ(all[i].instance_id, present[i]);
     }
     EXPECT_EQ(find_instance(all, 0), nullptr);
+  }
+}
+
+TEST(MaskEquivalence, ContoursOfShapesThatReenterRows) {
+  // Components whose 4-connected fill has to leave a row and come back
+  // into it: diagonal-only contacts (separate components), holes and
+  // islands, U shapes opening either way, combs and spirals.
+  Rng rng(12);
+  const std::vector<std::vector<std::string>> shapes = {
+      {"#.#.#.", ".#.#.#", "#.#.#.", ".#.#.#"},
+      {"#.....", ".#....", "..#...", "...#..", "....##", "....##"},
+      {"#######", "#.....#", "#.###.#", "#.#.#.#", "#.###.#", "#.....#",
+       "#######"},
+      {"#.....#", "#.....#", "#.....#", "#.....#", "#######"},
+      {"#######", "#.....#", "#.....#", "#.....#", "#.....#"},
+      {"#.#.#.#", "#.#.#.#", "#.#.#.#", "#######", "...#...", "#######",
+       "#.#.#.#"},
+      {"###.###", "#.#.#.#", "#.###.#", "#.....#", "#######"},
+      {"..#..", ".#.#.", "#...#", ".#.#.", "..#.."},
+  };
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    SCOPED_TRACE("shape " + std::to_string(i));
+    check_all_ops(from_rows(shapes[i]), rng);
+  }
+  for (const int size : {5, 9, 16, 31}) {
+    SCOPED_TRACE("spiral " + std::to_string(size));
+    check_all_ops(spiral(size), rng);
+  }
+  // Random sparse and dense speckle: many small components with diagonal
+  // contacts, and large ones with holes.
+  for (int trial = 0; trial < 60; ++trial) {
+    const int w = 1 + below(rng, 30), h = 1 + below(rng, 30);
+    const double p = trial % 2 == 0 ? 0.35 : 0.7;
+    DenseMask d(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) d.set(x, y, rng.chance(p));
+    }
+    SCOPED_TRACE("speckle " + std::to_string(trial));
+    check_all_ops(d, rng);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(MaskEquivalence, PolygonFillMatchesScanOverAllEdges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int w = 37, h = 29;
+  std::vector<Contour> polys = {
+      // Horizontal edges, and vertices exactly on pixel-centre rows.
+      {{2, 3}, {20, 3}, {20, 10.5}, {30, 10.5}, {30, 20}, {2, 20}},
+      {{4.5, 2.5}, {30.5, 2.5}, {30.5, 12.5}, {18, 12.5}, {18, 24.5},
+       {4.5, 24.5}},
+      {{10, 0.5}, {25, 7.5}, {10, 14.5}, {25, 21.5}, {10, 28.5}, {2, 14.5}},
+      // Self-intersecting: a bow tie and a pentagram.
+      {{3, 3}, {30, 25}, {30, 3}, {3, 25}},
+      {{18, 1}, {25, 27}, {3, 10}, {33, 10}, {11, 27}},
+      // Far off the frame, wholly and partly.
+      {{-900, -900}, {-800, -900}, {-850, -700}},
+      {{-1e12, 5}, {1e12, 6}, {0, 20}},
+      {{5, -1e15}, {30, 14}, {5, 1e15}},
+      // Infinite and NaN vertices.
+      {{5, 5}, {30, 5}, {inf, 20}, {5, 20}},
+      {{5, 5}, {30, -inf}, {30, 20}, {5, 20}},
+      {{5, 5}, {30, 8}, {20, inf}, {3, 22}},
+      {{-inf, 10}, {30, 3}, {30, 25}},
+      {{5, 5}, {nan, 10}, {30, 20}, {5, 25}},
+      {{5, 5}, {20, nan}, {30, 20}},
+      {{inf, inf}, {10, 10}, {-inf, -inf}, {20, 3}, {nan, nan}, {25, 25}},
+      {{5, 5}, {inf, 5}, {inf, 20}, {5, 20}, {-inf, 12}},
+  };
+  Rng rng(40);
+  const double specials[] = {inf, -inf, nan, 1e300, -1e300, 0.5, 14.5};
+  for (int trial = 0; trial < 200; ++trial) {
+    Contour poly;
+    const int n = 3 + below(rng, 12);
+    for (int i = 0; i < n; ++i) {
+      edgeis::geom::Vec2 p{rng.uniform(-10.0, w + 10.0),
+                           rng.uniform(-10.0, h + 10.0)};
+      if (rng.chance(0.3)) p.y = std::round(p.y) + 0.5;  // on a centre row
+      if (rng.chance(0.1)) p.x = specials[rng.uniform_int(7)];
+      if (rng.chance(0.1)) p.y = specials[rng.uniform_int(7)];
+      poly.push_back(p);
+    }
+    if (rng.chance(0.3) && n > 3) poly[1].y = poly[0].y;  // a level edge
+    polys.push_back(poly);
+  }
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    expect_same_mask(rasterize_polygon(polys[i], w, h),
+                     scan_all_edges_rasterize(polys[i], w, h),
+                     "polygon " + std::to_string(i));
+    if (HasFatalFailure()) return;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -720,6 +721,91 @@ TEST(RendererEquivalence, OddPixelCountAndNoiselessFrames) {
   SceneConfig quiet = make_field_scene(9, 30);
   quiet.pixel_noise_sigma = 0.0;
   expect_matches_reference(quiet, 12);
+}
+
+// Triangles chosen to stress the rasterizer's per-row spans: near-plane
+// clipping that projects vertices tens of thousands of pixels out,
+// slivers, near-horizontal and near-vertical edges, level edges, and
+// triangles partly or wholly off the frame. Vertices are placed in camera
+// space (pixel, depth) and carried to the world through the frame-0 pose.
+TEST(RendererEquivalence, AdversarialTrianglesMatchReferenceRenderer) {
+  SceneConfig cfg = make_davis_scene(13, 30);
+  cfg.objects.clear();
+  const geom::PinholeCamera& cam = cfg.camera;
+  const geom::SE3 t_wc = cfg.path.pose_at(0.0).inverse();
+  const auto at = [&](double u, double v, double z) {
+    return t_wc * (cam.unproject({u, v}) * z);
+  };
+  const auto behind = [&](double x, double y, double z) {
+    return t_wc * geom::Vec3{x, y, z};  // camera-space point, any depth
+  };
+  std::vector<std::array<geom::Vec3, 3>> tris = {
+      // One vertex behind the camera: the clipped vertices sit on the
+      // near plane and project far outside the frame.
+      {behind(0.4, 0.2, -2.0), at(300, 200, 3.0), at(350, 260, 4.0)},
+      {behind(-3.0, 1.0, -0.5), behind(2.0, -1.5, -0.7), at(320, 240, 2.0)},
+      {behind(3.0, 2.0, 0.0501), behind(-2.5, 1.0, 0.06), at(100, 400, 5.0)},
+      {behind(0.01, 0.01, 0.0500001), at(620, 30, 1.0), at(20, 450, 1.0)},
+      // Slivers, down to a hair wider than the area cut-off.
+      {at(10, 10, 5), at(630, 470, 5), at(630.3, 470.2, 5)},
+      {at(5, 300, 4), at(635, 301, 4), at(320, 300.5 + 1e-6, 4)},
+      {at(100, 5, 3), at(101, 475, 3), at(100.5, 240, 3.0001)},
+      // Near-horizontal, level and near-vertical edges.
+      {at(5, 100, 4), at(635, 100.0001, 4), at(320, 300, 4)},
+      {at(5, 150, 4), at(635, 150, 4), at(320, 20, 4)},
+      {at(200, 5, 4), at(200.00001, 470, 4), at(400, 200, 4)},
+      {at(450, 5, 4), at(450, 470, 4), at(300, 240, 4)},
+      {at(-4000, 200, 6), at(5000, 200.25, 6), at(320, 201, 6)},
+      // Wholly off the frame, and straddling each border.
+      {at(-500, -300, 4), at(-200, -100, 4), at(-350, -50, 4)},
+      {at(700, 100, 4), at(900, 200, 4), at(800, 500, 4)},
+      {at(-50, 200, 4), at(40, 180, 4), at(30, 260, 4)},
+      {at(300, -40, 4), at(360, 20, 4), at(250, 10, 4)},
+      {at(630, 470, 4), at(700, 400, 4), at(660, 530, 4)},
+  };
+  // Random triangles across a range well past the frame, some crossing
+  // the near plane.
+  rt::Rng rng(2026);
+  for (int i = 0; i < 120; ++i) {
+    std::array<geom::Vec3, 3> t;
+    for (auto& p : t) {
+      const double z = rng.uniform(-1.0, 12.0);
+      p = z > 0.2 ? at(rng.uniform(-900, 1500), rng.uniform(-700, 1200), z)
+                  : behind(rng.uniform(-3, 3), rng.uniform(-3, 3), z);
+    }
+    tris.push_back(t);
+  }
+  for (std::size_t i = 0; i < tris.size(); ++i) {
+    SceneObject obj;
+    obj.instance_id = static_cast<int>(i) + 1;
+    obj.texture_seed = 100 + i;
+    for (const auto& p : tris[i]) obj.mesh.vertices.push_back(p);
+    obj.mesh.triangles.push_back({0, 1, 2});
+    obj.mesh.triangles.push_back({0, 2, 1});  // both windings
+    cfg.objects.push_back(obj);
+  }
+  expect_matches_reference(cfg, 0);
+  cfg.pixel_noise_sigma = 0.0;
+  expect_matches_reference(cfg, 0);
+
+  // One object at a time, so no triangle hides behind another.
+  for (std::size_t k = 0; k < cfg.objects.size(); ++k) {
+    const int index = static_cast<int>(k);
+    const auto id = static_cast<std::uint16_t>(cfg.objects[k].instance_id);
+    const auto fast = SceneSimulator(cfg).unoccluded_mask(0, index);
+    const auto ref = mask::mask_from_id_image(
+        reference::unoccluded_ids(cfg, 0, index), id);
+    ASSERT_EQ(fast.pixel_count(), ref.pixel_count()) << "triangle " << k;
+    ASSERT_EQ(fast.bounding_box(), ref.bounding_box()) << "triangle " << k;
+    const auto box = ref.bounding_box();
+    if (!box) continue;
+    for (int y = box->y0; y < box->y1; ++y) {
+      for (int x = box->x0; x < box->x1; ++x) {
+        ASSERT_EQ(fast.get(x, y), ref.get(x, y))
+            << "triangle " << k << " at " << x << "," << y;
+      }
+    }
+  }
 }
 
 // The sampler against a fresh floor + hash3 on positions chosen to sit on
