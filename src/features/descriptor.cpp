@@ -1,32 +1,39 @@
 #include "features/descriptor.hpp"
 
+#include <climits>
 #include <cmath>
 #include <map>
 #include <mutex>
 
+#include "features/brief_kernels.hpp"
+#include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace edgeis::feat {
+
+using kernels::BriefPattern;
 
 BriefDescriptorExtractor::BriefDescriptorExtractor(int patch_radius)
     : patch_radius_(patch_radius), pattern_(&pattern_for(patch_radius)) {}
 
-const BriefDescriptorExtractor::Pattern&
-BriefDescriptorExtractor::pattern_for(int patch_radius) {
+const BriefPattern& BriefDescriptorExtractor::pattern_for(int patch_radius) {
   // The draw (about a thousand rejection-sampled normals) is a fixed
   // function of the radius, so each radius is drawn once per process and
   // shared. Map nodes never move: the returned reference stays valid.
   static std::mutex lock;
-  static std::map<int, Pattern> patterns;
+  static std::map<int, BriefPattern> patterns;
   const std::lock_guard<std::mutex> guard(lock);
   auto [it, inserted] = patterns.try_emplace(patch_radius);
   if (!inserted) return it->second;
 
   // Fixed seed: the pattern is part of the descriptor definition, not a
-  // per-run random choice.
+  // per-run random choice. Each test draws ax, ay, bx, by in that order.
   rt::Rng rng(0xb51ef5eedULL);
-  Pattern& pattern = it->second;
-  pattern.reserve(256);
+  BriefPattern& pattern = it->second;
   const double sigma = patch_radius / 2.5;
   auto draw = [&]() {
     double v;
@@ -35,13 +42,43 @@ BriefDescriptorExtractor::pattern_for(int patch_radius) {
     } while (std::abs(v) > patch_radius - 1);
     return static_cast<float>(v);
   };
-  for (int i = 0; i < 256; ++i) {
-    pattern.push_back({draw(), draw(), draw(), draw()});
+  for (std::size_t i = 0; i < kernels::kBriefTests; ++i) {
+    pattern.ax[i] = draw();
+    pattern.ay[i] = draw();
+    pattern.bx[i] = draw();
+    pattern.by[i] = draw();
   }
   return pattern;
 }
 
 namespace {
+
+// Bits accumulate in a register word, set branch-free: each comparison
+// is a coin flip the branch predictor cannot learn.
+template <typename Sample>
+Descriptor describe(const BriefPattern& p, const Keypoint& kp,
+                    Sample sample) {
+  Descriptor d;
+  const float c = std::cos(kp.angle);
+  const float s = std::sin(kp.angle);
+  const double x0 = kp.pixel.x;
+  const double y0 = kp.pixel.y;
+  for (std::size_t w = 0; w < d.bits.size(); ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < 64; ++j) {
+      const std::size_t i = w * 64 + j;
+      // Rotate both sample points by the keypoint orientation.
+      const double ax = x0 + c * p.ax[i] - s * p.ay[i];
+      const double ay = y0 + s * p.ax[i] + c * p.ay[i];
+      const double bx = x0 + c * p.bx[i] - s * p.by[i];
+      const double by = y0 + s * p.bx[i] + c * p.by[i];
+      const bool bit = sample(ax, ay) < sample(bx, by);
+      word |= static_cast<std::uint64_t>(bit) << j;
+    }
+    d.bits[w] = word;
+  }
+  return d;
+}
 
 // img::Image::sample_bilinear without the border clamp, for a point whose
 // 2x2 neighbourhood lies inside the image. x, y >= 0, so truncation is
@@ -61,35 +98,110 @@ double sample_interior(const std::uint8_t* data, std::size_t stride,
          (1 - fx) * fy * v01 + fx * fy * v11;
 }
 
+#if defined(__x86_64__)
+
+// sample_interior at four points. Each point's 2x2 neighbourhood comes
+// from two 32-bit gathers at byte offsets y0·stride + x0 and one row
+// down: bytes 0 and 1 of each are the x0 and x0 + 1 pixels. Bytes 2 and 3
+// are read and dropped. They stay inside the image: an interior sample
+// has x0 <= w − 3 and y0 <= h − 3, so the lower gather ends at most at
+// byte (y0 + 1)·w + w, the first pixel of row y0 + 2. ASan does not see
+// gather reads, so this bound is the only guard.
+[[gnu::target("avx2")]] inline __m256d sample_interior4(
+    const std::uint8_t* data, __m128i stride, __m256d x, __m256d y) {
+  const __m128i xi = _mm256_cvttpd_epi32(x);
+  const __m128i yi = _mm256_cvttpd_epi32(y);
+  const __m256d fx = _mm256_sub_pd(x, _mm256_cvtepi32_pd(xi));
+  const __m256d fy = _mm256_sub_pd(y, _mm256_cvtepi32_pd(yi));
+  const __m128i at = _mm_add_epi32(_mm_mullo_epi32(yi, stride), xi);
+  const auto* base = reinterpret_cast<const int*>(data);
+  const __m128i upper = _mm_i32gather_epi32(base, at, 1);
+  const __m128i lower = _mm_i32gather_epi32(base, _mm_add_epi32(at, stride), 1);
+  const __m128i byte = _mm_set1_epi32(0xff);
+  const __m256d v00 = _mm256_cvtepi32_pd(_mm_and_si128(upper, byte));
+  const __m256d v10 =
+      _mm256_cvtepi32_pd(_mm_and_si128(_mm_srli_epi32(upper, 8), byte));
+  const __m256d v01 = _mm256_cvtepi32_pd(_mm_and_si128(lower, byte));
+  const __m256d v11 =
+      _mm256_cvtepi32_pd(_mm_and_si128(_mm_srli_epi32(lower, 8), byte));
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d gx = _mm256_sub_pd(one, fx);
+  const __m256d gy = _mm256_sub_pd(one, fy);
+  __m256d v = _mm256_mul_pd(_mm256_mul_pd(gx, gy), v00);
+  v = _mm256_add_pd(v, _mm256_mul_pd(_mm256_mul_pd(fx, gy), v10));
+  v = _mm256_add_pd(v, _mm256_mul_pd(_mm256_mul_pd(gx, fy), v01));
+  return _mm256_add_pd(v, _mm256_mul_pd(_mm256_mul_pd(fx, fy), v11));
+}
+
+// Four tests' sample points: c·t.x and s·t.y are float products, as in
+// the scalar form, and (x0 + c·tx) − s·ty keeps its association.
+[[gnu::target("avx2")]] inline void rotate4(const float* tx, const float* ty,
+                                            __m128 c, __m128 s, __m256d x0,
+                                            __m256d y0, __m256d& rx,
+                                            __m256d& ry) {
+  const __m128 x = _mm_loadu_ps(tx);
+  const __m128 y = _mm_loadu_ps(ty);
+  rx = _mm256_sub_pd(_mm256_add_pd(x0, _mm256_cvtps_pd(_mm_mul_ps(c, x))),
+                     _mm256_cvtps_pd(_mm_mul_ps(s, y)));
+  ry = _mm256_add_pd(_mm256_add_pd(y0, _mm256_cvtps_pd(_mm_mul_ps(s, x))),
+                     _mm256_cvtps_pd(_mm_mul_ps(c, y)));
+}
+
+#endif
+
 }  // namespace
 
-template <typename Sample>
-Descriptor BriefDescriptorExtractor::describe(const Keypoint& kp,
-                                              Sample sample) const {
+Descriptor kernels::describe_interior_scalar(const BriefPattern& pattern,
+                                             const std::uint8_t* data,
+                                             std::size_t stride,
+                                             const Keypoint& kp) {
+  return describe(pattern, kp, [data, stride](double sx, double sy) {
+    return sample_interior(data, stride, sx, sy);
+  });
+}
+
+#if defined(__x86_64__)
+
+// Four tests per step; `<` is _CMP_LT_OQ, and the four lanes' results are
+// bits j..j + 3 of the word.
+[[gnu::target("avx2")]] Descriptor kernels::describe_interior_avx2(
+    const BriefPattern& p, const std::uint8_t* data, std::size_t stride,
+    const Keypoint& kp) {
   Descriptor d;
   const float c = std::cos(kp.angle);
   const float s = std::sin(kp.angle);
-  const double x0 = kp.pixel.x;
-  const double y0 = kp.pixel.y;
-
-  // Bits accumulate in a register word, set branch-free: each comparison
-  // is a coin flip the branch predictor cannot learn.
+  const __m128 c4 = _mm_set1_ps(c);
+  const __m128 s4 = _mm_set1_ps(s);
+  const __m256d x0 = _mm256_set1_pd(kp.pixel.x);
+  const __m256d y0 = _mm256_set1_pd(kp.pixel.y);
+  const __m128i stride4 = _mm_set1_epi32(static_cast<int>(stride));
   for (std::size_t w = 0; w < d.bits.size(); ++w) {
     std::uint64_t word = 0;
-    for (std::size_t j = 0; j < 64; ++j) {
-      const auto& t = (*pattern_)[w * 64 + j];
-      // Rotate both sample points by the keypoint orientation.
-      const double ax = x0 + c * t.ax - s * t.ay;
-      const double ay = y0 + s * t.ax + c * t.ay;
-      const double bx = x0 + c * t.bx - s * t.by;
-      const double by = y0 + s * t.bx + c * t.by;
-      const bool bit = sample(ax, ay) < sample(bx, by);
-      word |= static_cast<std::uint64_t>(bit) << j;
+    for (std::size_t j = 0; j < 64; j += 4) {
+      const std::size_t i = w * 64 + j;
+      __m256d ax, ay, bx, by;
+      rotate4(p.ax + i, p.ay + i, c4, s4, x0, y0, ax, ay);
+      rotate4(p.bx + i, p.by + i, c4, s4, x0, y0, bx, by);
+      const __m256d va = sample_interior4(data, stride4, ax, ay);
+      const __m256d vb = sample_interior4(data, stride4, bx, by);
+      const int bits = _mm256_movemask_pd(_mm256_cmp_pd(va, vb, _CMP_LT_OQ));
+      word |= static_cast<std::uint64_t>(bits) << j;
     }
     d.bits[w] = word;
   }
   return d;
 }
+
+#else
+
+Descriptor kernels::describe_interior_avx2(const BriefPattern& pattern,
+                                           const std::uint8_t* data,
+                                           std::size_t stride,
+                                           const Keypoint& kp) {
+  return describe_interior_scalar(pattern, data, stride, kp);
+}
+
+#endif
 
 Descriptor BriefDescriptorExtractor::compute(const img::GrayImage& image,
                                              const Keypoint& kp) const {
@@ -98,13 +210,15 @@ Descriptor BriefDescriptorExtractor::compute(const img::GrayImage& image,
   const double y = kp.pixel.y;
   if (x >= m && y >= m && x <= image.width() - 1 - m &&
       y <= image.height() - 1 - m) {
-    const std::uint8_t* data = image.data();
     const auto stride = static_cast<std::size_t>(image.width());
-    return describe(kp, [data, stride](double sx, double sy) {
-      return sample_interior(data, stride, sx, sy);
-    });
+    if (rt::cpu_has_avx2() && image.size() <= INT_MAX) {
+      return kernels::describe_interior_avx2(*pattern_, image.data(), stride,
+                                             kp);
+    }
+    return kernels::describe_interior_scalar(*pattern_, image.data(), stride,
+                                             kp);
   }
-  return describe(kp, [&image](double sx, double sy) {
+  return describe(*pattern_, kp, [&image](double sx, double sy) {
     return image.sample_bilinear(sx, sy);
   });
 }

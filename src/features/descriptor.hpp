@@ -12,6 +12,10 @@
 
 namespace edgeis::feat {
 
+namespace kernels {
+struct BriefPattern;  // features/brief_kernels.hpp
+}  // namespace kernels
+
 class BriefDescriptorExtractor {
  public:
   /// `patch_radius` bounds the sampled pattern; pattern is drawn from an
@@ -39,16 +43,10 @@ class BriefDescriptorExtractor {
   }
 
  private:
-  struct TestPair {
-    float ax, ay, bx, by;
-  };
-  using Pattern = std::vector<TestPair>;  // 256 comparison pairs
   /// The process-wide pattern of a patch radius, drawn on first use.
-  static const Pattern& pattern_for(int patch_radius);
-  template <typename Sample>
-  Descriptor describe(const Keypoint& kp, Sample sample) const;
+  static const kernels::BriefPattern& pattern_for(int patch_radius);
   int patch_radius_;
-  const Pattern* pattern_;  // shared, immutable
+  const kernels::BriefPattern* pattern_;  // shared, immutable
 };
 
 }  // namespace edgeis::feat

@@ -3,8 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
+#include "scene/kernels.hpp"
 #include "scene/texture.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace edgeis::scene {
 
@@ -174,6 +180,8 @@ void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
                     std::uint64_t tex_seed, double tex_scale,
                     img::GrayImage& intensity, img::IdImage& instance_ids,
                     img::DepthImage& depth) {
+  const auto fill_row = rt::cpu_has_avx2() ? kernels::raster_row_avx2
+                                           : kernels::raster_row_scalar;
   TextureSampler texture(tex_seed, tex_scale);
   std::vector<geom::Vec3> cam_pos(mesh.vertices.size());
   for (std::size_t i = 0; i < mesh.vertices.size(); ++i) {
@@ -189,13 +197,14 @@ void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
     for (int k = 2; k < n; ++k) {
       const ClipVertex* v[3] = {&poly[0], &poly[k - 1], &poly[k]};
       // Project.
-      geom::Vec2 px[3];
-      double inv_z[3];
+      kernels::RasterTriangle t{};
+      const geom::Vec2* px = t.px;
       for (int i = 0; i < 3; ++i) {
         const auto p = cam.project(v[i]->cam, kNearZ * 0.5);
         if (!p) goto next_subtri;
-        px[i] = *p;
-        inv_z[i] = 1.0 / v[i]->cam.z;
+        t.px[i] = *p;
+        t.inv_z[i] = 1.0 / v[i]->cam.z;
+        t.obj[i] = v[i]->obj;
       }
       {
         // Bounding box in pixels.
@@ -214,32 +223,15 @@ void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
         const double area = (px[1].x - px[0].x) * (px[2].y - px[0].y) -
                             (px[1].y - px[0].y) * (px[2].x - px[0].x);
         if (std::abs(area) < 1e-9) continue;
-        const double inv_area = 1.0 / area;
+        t.inv_area = 1.0 / area;
         const RowSpans spans(px, area, x0, x1, y0, y1);
 
         for (int y = y0; y <= y1; ++y) {
           const auto [first, last] = spans.row(y);
-          for (int x = first; x <= last; ++x) {
-            const double fx = x + 0.5, fy = y + 0.5;
-            // Barycentric via edge functions (sign-consistent with area).
-            double w0 = ((px[1].x - fx) * (px[2].y - fy) -
-                         (px[1].y - fy) * (px[2].x - fx)) * inv_area;
-            double w1 = ((px[2].x - fx) * (px[0].y - fy) -
-                         (px[2].y - fy) * (px[0].x - fx)) * inv_area;
-            double w2 = 1.0 - w0 - w1;
-            if (w0 < 0 || w1 < 0 || w2 < 0) continue;
-            // Perspective-correct interpolation.
-            const double iz =
-                w0 * inv_z[0] + w1 * inv_z[1] + w2 * inv_z[2];
-            const double z = 1.0 / iz;
-            if (z >= depth.at(x, y)) continue;
-            const geom::Vec3 obj =
-                (v[0]->obj * (w0 * inv_z[0]) + v[1]->obj * (w1 * inv_z[1]) +
-                 v[2]->obj * (w2 * inv_z[2])) * z;
-            depth.at(x, y) = static_cast<float>(z);
-            instance_ids.at(x, y) = instance_id;
-            intensity.at(x, y) = texture(obj);
-          }
+          const kernels::RasterRow row{y + 0.5, intensity.row(y),
+                                       instance_ids.row(y), depth.row(y),
+                                       instance_id};
+          fill_row(t, row, first, last, texture);
         }
       }
     next_subtri:;
@@ -251,34 +243,31 @@ void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
 // arithmetic as `px + rng.normal(0.0, sigma)` pixel by pixel, where pixel
 // 2k takes pair k's u·f and pixel 2k + 1 its spare v·f. The Marsaglia
 // rejection branch mispredicts, so each block first draws its accepted
-// (u, v, s) triples and then runs the log/div/sqrt chains branch-free,
-// letting them overlap. With an odd pixel count the last spare goes
-// unused, as it did per pixel. Blocks stay on the stack: a frame-sized
-// draw buffer (3.7 MB at 640x480) shows up in peak RSS.
+// (u, v, s) triples, then takes one libm log per pair, and then runs the
+// div/sqrt/scale chains branch-free (kernels::shape_noise_*), letting them
+// overlap. With an odd pixel count the last spare goes unused, as it did
+// per pixel. Blocks stay on the stack: a frame-sized draw buffer (3.7 MB
+// at 640x480) shows up in peak RSS.
 void add_sensor_noise(img::GrayImage& image, double sigma, rt::Rng& rng) {
-  constexpr std::size_t kBlockPairs = 256;
-  rt::Rng::PolarDraw draws[kBlockPairs];
-  auto noisy = [sigma](std::uint8_t px, double z) {
-    const double v = px + (0.0 + sigma * z);
-    return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-  };
+  const auto shape = rt::cpu_has_avx2() ? kernels::shape_noise_avx2
+                                        : kernels::shape_noise_scalar;
+  constexpr std::size_t kBlockPixels = 2 * kernels::kNoiseBlockPairs;
+  kernels::NoiseBlock block{};
   std::uint8_t* data = image.data();
   const std::size_t n = image.size();
-  for (std::size_t start = 0; start < n; start += 2 * kBlockPairs) {
-    std::uint8_t* block = data + start;
-    const std::size_t pixels = std::min(n - start, 2 * kBlockPairs);
+  for (std::size_t start = 0; start < n; start += kBlockPixels) {
+    const std::size_t pixels = std::min(n - start, kBlockPixels);
     const std::size_t pairs = (pixels + 1) / 2;
-    for (std::size_t k = 0; k < pairs; ++k) draws[k] = rng.polar_draw();
-    const std::size_t full = pixels / 2;
-    for (std::size_t k = 0; k < full; ++k) {
-      const double f = rt::Rng::polar_factor(draws[k].s);
-      block[2 * k] = noisy(block[2 * k], draws[k].u * f);
-      block[2 * k + 1] = noisy(block[2 * k + 1], draws[k].v * f);
+    for (std::size_t k = 0; k < pairs; ++k) {
+      const rt::Rng::PolarDraw d = rng.polar_draw();
+      block.u[k] = d.u;
+      block.v[k] = d.v;
+      block.s[k] = d.s;
     }
-    if (full < pairs) {
-      const double f = rt::Rng::polar_factor(draws[full].s);
-      block[2 * full] = noisy(block[2 * full], draws[full].u * f);
+    for (std::size_t k = 0; k < pairs; ++k) {
+      block.m2log_s[k] = -2.0 * __builtin_log(block.s[k]);
     }
+    shape(data + start, pixels, block, sigma);
   }
 }
 
@@ -473,5 +462,222 @@ std::vector<mask::InstanceMask> SceneSimulator::ground_truth_masks(
   }
   return out;
 }
+
+// ---------------------------------------------------------------------------
+// Per-sample kernels (scene/kernels.hpp). Each AVX2 form computes, lane by
+// lane, the IEEE operations of its scalar form in the same order; DESIGN.md
+// §9 ("Vector kernels") lists the invariants that keep the bytes equal.
+
+namespace kernels {
+
+void raster_row_scalar(const RasterTriangle& tri, const RasterRow& row,
+                       int first, int last, TextureSampler& texture) {
+  // A local copy: the byte stores below may alias anything, and would
+  // otherwise force a reload of every vertex field per pixel.
+  const RasterTriangle t = tri;
+  const geom::Vec2* px = t.px;
+  const double* inv_z = t.inv_z;
+  const double fy = row.fy;
+  for (int x = first; x <= last; ++x) {
+    const double fx = x + 0.5;
+    // Barycentric via edge functions (sign-consistent with area).
+    double w0 = ((px[1].x - fx) * (px[2].y - fy) -
+                 (px[1].y - fy) * (px[2].x - fx)) * t.inv_area;
+    double w1 = ((px[2].x - fx) * (px[0].y - fy) -
+                 (px[2].y - fy) * (px[0].x - fx)) * t.inv_area;
+    double w2 = 1.0 - w0 - w1;
+    if (w0 < 0 || w1 < 0 || w2 < 0) continue;
+    // Perspective-correct interpolation.
+    const double iz = w0 * inv_z[0] + w1 * inv_z[1] + w2 * inv_z[2];
+    const double z = 1.0 / iz;
+    if (z >= row.depth[x]) continue;
+    const geom::Vec3 obj =
+        (t.obj[0] * (w0 * inv_z[0]) + t.obj[1] * (w1 * inv_z[1]) +
+         t.obj[2] * (w2 * inv_z[2])) * z;
+    row.depth[x] = static_cast<float>(z);
+    row.ids[x] = row.instance_id;
+    row.intensity[x] = texture(obj);
+  }
+}
+
+namespace {
+
+// Pixels 2·k0 .. pixels − 1 of a noise block, one pair at a time.
+void shape_noise_pairs(std::uint8_t* px, std::size_t pixels,
+                       const NoiseBlock& b, double sigma, std::size_t k0) {
+  auto noisy = [sigma](std::uint8_t p, double z) {
+    const double v = p + (0.0 + sigma * z);
+    return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+  };
+  const std::size_t full = pixels / 2;
+  for (std::size_t k = k0; k < full; ++k) {
+    const double f = __builtin_sqrt(b.m2log_s[k] / b.s[k]);
+    px[2 * k] = noisy(px[2 * k], b.u[k] * f);
+    px[2 * k + 1] = noisy(px[2 * k + 1], b.v[k] * f);
+  }
+  if (pixels % 2 != 0) {
+    const double f = __builtin_sqrt(b.m2log_s[full] / b.s[full]);
+    px[2 * full] = noisy(px[2 * full], b.u[full] * f);
+  }
+}
+
+}  // namespace
+
+void shape_noise_scalar(std::uint8_t* px, std::size_t pixels,
+                        const NoiseBlock& block, double sigma) {
+  shape_noise_pairs(px, pixels, block, sigma, 0);
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+// One object-space component at four pixels: ((o0·a0 + o1·a1) + o2·a2)·z.
+[[gnu::target("avx2")]] inline __m256d interpolate4(double o0, double o1,
+                                                    double o2, __m256d a0,
+                                                    __m256d a1, __m256d a2,
+                                                    __m256d z) {
+  const __m256d sum =
+      _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(o0), a0),
+                                  _mm256_mul_pd(_mm256_set1_pd(o1), a1)),
+                    _mm256_mul_pd(_mm256_set1_pd(o2), a2));
+  return _mm256_mul_pd(sum, z);
+}
+
+// px + (0.0 + sigma·z) for four pixels held as 16-bit lanes, clamped to
+// [0, 255] and truncated to 32-bit lanes.
+[[gnu::target("avx2")]] inline __m128i noisy4(__m128i px16, __m256d z,
+                                              __m256d sigma) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d p = _mm256_cvtepi32_pd(_mm_cvtepu16_epi32(px16));
+  const __m256d v =
+      _mm256_add_pd(p, _mm256_add_pd(zero, _mm256_mul_pd(sigma, z)));
+  return _mm256_cvttpd_epi32(
+      _mm256_min_pd(_mm256_max_pd(v, zero), _mm256_set1_pd(255.0)));
+}
+
+}  // namespace
+
+// Four pixels of a row per step. Ordered predicates keep the scalar
+// comparisons' NaN behaviour: a NaN weight is not < 0, so it passes, and
+// a NaN z is not >= the stored depth, so it writes. The depth of lanes
+// past `last` is never loaded (masked load) and no lane past it is
+// written. Covered lanes write one at a time in ascending x, as the
+// scalar loop does, because the texture sampler is per-pixel scalar code.
+[[gnu::target("avx2")]] void raster_row_avx2(const RasterTriangle& t,
+                                             const RasterRow& row, int first,
+                                             int last,
+                                             TextureSampler& texture) {
+  const double fy = row.fy;
+  const __m256d p0x = _mm256_set1_pd(t.px[0].x);
+  const __m256d p1x = _mm256_set1_pd(t.px[1].x);
+  const __m256d p2x = _mm256_set1_pd(t.px[2].x);
+  // The scalar loop forms these differences per pixel; fy is per row.
+  const __m256d d0y = _mm256_set1_pd(t.px[0].y - fy);
+  const __m256d d1y = _mm256_set1_pd(t.px[1].y - fy);
+  const __m256d d2y = _mm256_set1_pd(t.px[2].y - fy);
+  const __m256d inv_area = _mm256_set1_pd(t.inv_area);
+  const __m256d iz0 = _mm256_set1_pd(t.inv_z[0]);
+  const __m256d iz1 = _mm256_set1_pd(t.inv_z[1]);
+  const __m256d iz2 = _mm256_set1_pd(t.inv_z[2]);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d lane_x = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  const __m128i lane_index = _mm_setr_epi32(0, 1, 2, 3);
+  for (int x = first; x <= last; x += 4) {
+    const int lanes = std::min(4, last - x + 1);
+    const __m256d fx = _mm256_add_pd(_mm256_set1_pd(x + 0.5), lane_x);
+    const __m256d w0 = _mm256_mul_pd(
+        _mm256_sub_pd(_mm256_mul_pd(_mm256_sub_pd(p1x, fx), d2y),
+                      _mm256_mul_pd(d1y, _mm256_sub_pd(p2x, fx))),
+        inv_area);
+    const __m256d w1 = _mm256_mul_pd(
+        _mm256_sub_pd(_mm256_mul_pd(_mm256_sub_pd(p2x, fx), d0y),
+                      _mm256_mul_pd(d2y, _mm256_sub_pd(p0x, fx))),
+        inv_area);
+    const __m256d w2 = _mm256_sub_pd(_mm256_sub_pd(one, w0), w1);
+    const __m256d outside =
+        _mm256_or_pd(_mm256_or_pd(_mm256_cmp_pd(w0, zero, _CMP_LT_OQ),
+                                  _mm256_cmp_pd(w1, zero, _CMP_LT_OQ)),
+                     _mm256_cmp_pd(w2, zero, _CMP_LT_OQ));
+    const __m256d a0 = _mm256_mul_pd(w0, iz0);
+    const __m256d a1 = _mm256_mul_pd(w1, iz1);
+    const __m256d a2 = _mm256_mul_pd(w2, iz2);
+    const __m256d z =
+        _mm256_div_pd(one, _mm256_add_pd(_mm256_add_pd(a0, a1), a2));
+    const __m128 stored =
+        lanes == 4 ? _mm_loadu_ps(row.depth + x)
+                   : _mm_maskload_ps(row.depth + x,
+                                     _mm_cmpgt_epi32(_mm_set1_epi32(lanes),
+                                                     lane_index));
+    const __m256d hidden =
+        _mm256_cmp_pd(z, _mm256_cvtps_pd(stored), _CMP_GE_OQ);
+    unsigned write = ~static_cast<unsigned>(
+                         _mm256_movemask_pd(_mm256_or_pd(outside, hidden))) &
+                     ((1u << lanes) - 1u);
+    if (write == 0) continue;
+    alignas(32) double zs[4], ox[4], oy[4], oz[4];
+    _mm256_store_pd(zs, z);
+    _mm256_store_pd(ox, interpolate4(t.obj[0].x, t.obj[1].x, t.obj[2].x, a0,
+                                     a1, a2, z));
+    _mm256_store_pd(oy, interpolate4(t.obj[0].y, t.obj[1].y, t.obj[2].y, a0,
+                                     a1, a2, z));
+    _mm256_store_pd(oz, interpolate4(t.obj[0].z, t.obj[1].z, t.obj[2].z, a0,
+                                     a1, a2, z));
+    do {
+      const int k = __builtin_ctz(write);
+      row.depth[x + k] = static_cast<float>(zs[k]);
+      row.ids[x + k] = row.instance_id;
+      row.intensity[x + k] = texture({ox[k], oy[k], oz[k]});
+      write &= write - 1;
+    } while (write != 0);
+  }
+}
+
+// Four pairs (eight pixels) per step: f = sqrt(m2log_s / s), z = u·f and
+// v·f, px + (0.0 + sigma·z), clamp, truncate. Even pixels take u, odd
+// pixels v. The clamp is max-then-min instead of std::clamp's compares;
+// the two differ only in the sign of a zero, which truncation drops. The
+// pairs after the last whole step go through the scalar form.
+[[gnu::target("avx2")]] void shape_noise_avx2(std::uint8_t* px,
+                                              std::size_t pixels,
+                                              const NoiseBlock& b,
+                                              double sigma) {
+  const __m256d sig = _mm256_set1_pd(sigma);
+  const __m128i low_byte = _mm_set1_epi16(0x00ff);
+  const std::size_t steps = pixels / 8;
+  for (std::size_t i = 0; i < steps; ++i) {
+    const std::size_t k = 4 * i;
+    const __m256d f = _mm256_sqrt_pd(_mm256_div_pd(
+        _mm256_loadu_pd(b.m2log_s + k), _mm256_loadu_pd(b.s + k)));
+    const __m256d zu = _mm256_mul_pd(_mm256_loadu_pd(b.u + k), f);
+    const __m256d zv = _mm256_mul_pd(_mm256_loadu_pd(b.v + k), f);
+    // 16-bit lane j holds pixel 2j (low byte) and pixel 2j + 1 (high).
+    const __m128i bytes =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(px + 2 * k));
+    const __m128i even = noisy4(_mm_and_si128(bytes, low_byte), zu, sig);
+    const __m128i odd = noisy4(_mm_srli_epi16(bytes, 8), zv, sig);
+    const __m128i pairs = _mm_or_si128(even, _mm_slli_epi32(odd, 8));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(px + 2 * k),
+                     _mm_packus_epi32(pairs, pairs));
+  }
+  shape_noise_pairs(px, pixels, b, sigma, 4 * steps);
+}
+
+#else
+
+void raster_row_avx2(const RasterTriangle& t, const RasterRow& row, int first,
+                     int last, TextureSampler& texture) {
+  raster_row_scalar(t, row, first, last, texture);
+}
+
+void shape_noise_avx2(std::uint8_t* px, std::size_t pixels,
+                      const NoiseBlock& block, double sigma) {
+  shape_noise_scalar(px, pixels, block, sigma);
+}
+
+#endif
+
+}  // namespace kernels
 
 }  // namespace edgeis::scene

@@ -54,6 +54,16 @@ class TextureSampler {
     double hi[3] = {kNaN, kNaN, kNaN};
     double hash = 0.0;
 
+    // An integer-valued double as a cell index. NaN, ±inf and values at
+    // or past ±2^63 (a NaN weight in the rasterizer reaches here) map to
+    // INT64_MIN, which is what the x86-64 conversion returns for them;
+    // the bare cast is undefined there.
+    static std::int64_t cell_index(double lo) {
+      constexpr double kLimit = 0x1p63;
+      if (lo >= -kLimit && lo < kLimit) return static_cast<std::int64_t>(lo);
+      return std::numeric_limits<std::int64_t>::min();
+    }
+
     // Moves to the cell holding (x, y, z); true when it changed cell.
     bool enter(double x, double y, double z, std::uint64_t seed) {
       const bool in_xy = x >= lo[0] && x < hi[0] && y >= lo[1] && y < hi[1];
@@ -63,7 +73,7 @@ class TextureSampler {
       for (int i = 0; i < 3; ++i) {
         lo[i] = std::floor(v[i]);
         hi[i] = lo[i] + 1.0;
-        c[i] = static_cast<std::int64_t>(lo[i]);
+        c[i] = cell_index(lo[i]);
       }
       hash = hash3(c[0], c[1], c[2], seed);
       return true;

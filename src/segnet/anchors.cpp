@@ -29,7 +29,19 @@ void emit_anchors_at(std::vector<Anchor>& out, double cx, double cy,
 
 std::vector<Anchor> generate_full_anchors(
     int width, int height, const std::vector<FpnLevel>& levels) {
+  // Reserve every level's grid up front (clipping only drops anchors), so
+  // the time does not depend on how the heap grows a 76k-anchor vector.
+  std::size_t bound = 0;
+  for (const auto& lvl : levels) {
+    const auto cells = [&](int extent) -> std::size_t {
+      const int first = lvl.stride / 2;
+      return extent > first ? (extent - first + lvl.stride - 1) / lvl.stride
+                            : 0;
+    };
+    bound += cells(width) * cells(height) * std::size(kAspectRatios);
+  }
   std::vector<Anchor> anchors;
+  anchors.reserve(bound);
   for (std::size_t li = 0; li < levels.size(); ++li) {
     const auto& lvl = levels[li];
     for (int y = lvl.stride / 2; y < height; y += lvl.stride) {

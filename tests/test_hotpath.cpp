@@ -9,14 +9,17 @@
 #include <optional>
 #include <vector>
 
+#include "features/brief_kernels.hpp"
 #include "features/descriptor.hpp"
 #include "features/detector.hpp"
 #include "features/feature.hpp"
 #include "features/matcher.hpp"
 #include "features/orb.hpp"
+#include "guarded_buffer.hpp"
 #include "image/image.hpp"
 #include "mask/mask.hpp"
 #include "runtime/arena.hpp"
+#include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
 
 using namespace edgeis;
@@ -652,6 +655,123 @@ TEST(Brief, MarginCoversLargestRotatedPatternOffset) {
     EXPECT_LT(max_norm + 1.0, margin) << "radius " << radius;
     EXPECT_LT(max_offset + 1.0, margin) << "radius " << radius;
     EXPECT_LE(max_offset, max_norm + 1e-4) << "radius " << radius;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BRIEF interior kernels (features/brief_kernels.hpp): the AVX2 form
+// against the scalar form on one machine, bit for bit.
+
+namespace {
+
+kernels::BriefPattern soa_pattern(int patch_radius) {
+  const auto pairs = brief_pattern(patch_radius);
+  kernels::BriefPattern p;
+  for (std::size_t i = 0; i < kernels::kBriefTests; ++i) {
+    p.ax[i] = pairs[i].ax;
+    p.ay[i] = pairs[i].ay;
+    p.bx[i] = pairs[i].bx;
+    p.by[i] = pairs[i].by;
+  }
+  return p;
+}
+
+}  // namespace
+
+TEST(BriefKernels, ScalarAndAvx2AgreeOnEveryPyramidLevel) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  int words = 0, differing_from_zero = 0;
+  for (const int radius : {15, 8}) {
+    SCOPED_TRACE(radius);
+    const auto pattern = soa_pattern(radius);
+    const BriefDescriptorExtractor brief(radius);
+    const int m = brief.interior_margin();
+    for (const auto& image :
+         {random_image(640, 480, 41), blocky_image(640, 480, 16, 42)}) {
+      // Every blurred pyramid level, then the unblurred image: its flat
+      // cells make comparisons near-ties that the rounding of the
+      // bilinear sums decides.
+      std::vector<img::GrayImage> pyr;
+      img::build_blurred_pyramid_into(image, 4, pyr);
+      ASSERT_EQ(pyr.size(), 4u);
+      pyr.push_back(image);
+      rt::Rng rng(43);
+      for (std::size_t level = 0; level < pyr.size(); ++level) {
+        const auto& im = pyr[level];
+        const double hi_x = im.width() - 1 - m, hi_y = im.height() - 1 - m;
+        // The four margins exactly, just inside them, and random points.
+        std::vector<geom::Vec2> pixels = {
+            {double(m), double(m)}, {hi_x, hi_y}, {double(m), hi_y},
+            {hi_x, double(m)},      {m + 0.5, hi_y - 0.25},
+            {hi_x - 1e-9, m + 1e-9}};
+        for (int i = 0; i < 40; ++i) {
+          pixels.push_back({rng.uniform(m, hi_x), rng.uniform(m, hi_y)});
+        }
+        const auto stride = static_cast<std::size_t>(im.width());
+        for (const auto& px : pixels) {
+          for (const float angle : test_angles()) {
+            Keypoint kp;
+            kp.pixel = px;
+            kp.angle = angle;
+            const Descriptor want =
+                kernels::describe_interior_scalar(pattern, im.data(), stride,
+                                                  kp);
+            ASSERT_EQ(kernels::describe_interior_avx2(pattern, im.data(),
+                                                      stride, kp)
+                          .bits,
+                      want.bits)
+                << "level " << level << " at " << px.x << "," << px.y
+                << " angle " << angle;
+            ASSERT_EQ(brief.compute(im, kp).bits, want.bits);
+            for (const auto w : want.bits) {
+              ++words;
+              differing_from_zero += w != 0 ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(differing_from_zero, words / 2);
+}
+
+TEST(BriefKernels, ExactlySizedImageAtTheMargin) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  for (const int radius : {15, 8}) {
+    SCOPED_TRACE(radius);
+    const auto pattern = soa_pattern(radius);
+    const int m = BriefDescriptorExtractor(radius).interior_margin();
+    // The smallest images with an interior point: the keypoint sits at the
+    // margin from all four borders. The pixels end flush against an
+    // inaccessible page, so a gather past the image faults.
+    const int sizes[][2] = {{2 * m + 1, 2 * m + 1}, {2 * m + 6, 2 * m + 1},
+                            {2 * m + 1, 2 * m + 3}};
+    for (const auto& size : sizes) {
+      const int w = size[0], h = size[1];
+      const auto image = random_image(w, h, 50 + w + h);
+      testutil::GuardedBuffer<std::uint8_t> pixels(image.size());
+      std::copy(image.data(), image.data() + image.size(), pixels.data());
+      const auto stride = static_cast<std::size_t>(w);
+      for (const geom::Vec2 at :
+           {geom::Vec2{double(w - 1 - m), double(h - 1 - m)},
+            geom::Vec2{double(m), double(m)}}) {
+        for (const float angle : test_angles()) {
+          Keypoint kp;
+          kp.pixel = at;
+          kp.angle = angle;
+          const Descriptor want =
+              kernels::describe_interior_scalar(pattern, pixels.data(),
+                                                stride, kp);
+          ASSERT_EQ(kernels::describe_interior_avx2(pattern, pixels.data(),
+                                                    stride, kp)
+                        .bits,
+                    want.bits)
+              << w << "x" << h << " at " << at.x << "," << at.y;
+          EXPECT_EQ(BriefDescriptorExtractor(radius).compute(image, kp).bits,
+                    want.bits);
+        }
+      }
+    }
   }
 }
 

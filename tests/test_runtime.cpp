@@ -16,6 +16,32 @@
 
 namespace rt = edgeis::rt;
 
+#if defined(__x86_64__)
+namespace {
+// a*b + c in a function the compiler may give FMA instructions.
+[[gnu::target("fma"), gnu::noinline]] double mul_add(double a, double b,
+                                                    double c) {
+  return a * b + c;
+}
+}  // namespace
+#endif
+
+// The build pins -ffp-contract=off: even where FMA is available, a*b + c
+// rounds the product before the add, as baseline x86-64 code does.
+TEST(FpContract, TargetFmaDoesNotFuse) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("fma")) GTEST_SKIP() << "CPU lacks FMA";
+  // (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60. The rounded product drops 2^-60,
+  // so adding -(1 + 2^-29) gives 0; a fused multiply-add gives 2^-60.
+  volatile double a = 1.0 + 0x1p-30;
+  volatile double c = -(1.0 + 0x1p-29);
+  EXPECT_EQ(std::fma(a, a, c), 0x1p-60);  // the inputs tell the two apart
+  EXPECT_EQ(mul_add(a, a, c), 0.0);
+#else
+  GTEST_SKIP() << "target(\"fma\") is x86-64 only";
+#endif
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   rt::Rng a(42), b(42);
   for (int i = 0; i < 1000; ++i) {

@@ -6,9 +6,13 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "guarded_buffer.hpp"
+#include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
+#include "scene/kernels.hpp"
 #include "scene/mesh.hpp"
 #include "scene/presets.hpp"
 #include "scene/scene.hpp"
@@ -723,12 +727,15 @@ TEST(RendererEquivalence, OddPixelCountAndNoiselessFrames) {
   expect_matches_reference(quiet, 12);
 }
 
+namespace {
+
 // Triangles chosen to stress the rasterizer's per-row spans: near-plane
 // clipping that projects vertices tens of thousands of pixels out,
 // slivers, near-horizontal and near-vertical edges, level edges, and
 // triangles partly or wholly off the frame. Vertices are placed in camera
 // space (pixel, depth) and carried to the world through the frame-0 pose.
-TEST(RendererEquivalence, AdversarialTrianglesMatchReferenceRenderer) {
+// One object per triangle, drawn in both windings.
+SceneConfig adversarial_scene() {
   SceneConfig cfg = make_davis_scene(13, 30);
   cfg.objects.clear();
   const geom::PinholeCamera& cam = cfg.camera;
@@ -784,6 +791,13 @@ TEST(RendererEquivalence, AdversarialTrianglesMatchReferenceRenderer) {
     obj.mesh.triangles.push_back({0, 2, 1});  // both windings
     cfg.objects.push_back(obj);
   }
+  return cfg;
+}
+
+}  // namespace
+
+TEST(RendererEquivalence, AdversarialTrianglesMatchReferenceRenderer) {
+  SceneConfig cfg = adversarial_scene();
   expect_matches_reference(cfg, 0);
   cfg.pixel_noise_sigma = 0.0;
   expect_matches_reference(cfg, 0);
@@ -879,4 +893,298 @@ TEST(TextureSampler, EdgePositionsMatchFreshLookup) {
               reference::texture_value(points[i], seed, scale))
         << "point " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The renderer's per-sample kernels (scene/kernels.hpp): the AVX2 forms
+// against the scalar forms on one machine, byte for byte. Whole-frame
+// tests above only ever run the form this CPU picks. Every buffer ends
+// flush against an inaccessible page, so a load or store past the last
+// pixel faults.
+
+namespace {
+
+// The three frame buffers of one kernel run.
+struct GuardedFrame {
+  GuardedFrame(int width, int height)
+      : w(width),
+        h(height),
+        intensity(static_cast<std::size_t>(width * height)),
+        ids(static_cast<std::size_t>(width * height)),
+        depth(static_cast<std::size_t>(width * height)) {}
+
+  kernels::RasterRow row(int y, std::uint16_t id) {
+    const auto at = static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    return {y + 0.5, intensity.data() + at, ids.data() + at,
+            depth.data() + at, id};
+  }
+
+  int w, h;
+  testutil::GuardedBuffer<std::uint8_t> intensity;
+  testutil::GuardedBuffer<std::uint16_t> ids;
+  testutil::GuardedBuffer<float> depth;
+};
+
+// Runs the scalar and the AVX2 row kernel over the same rows of two frames
+// that start out equal: random bytes and ids, and a depth mix of empty
+// (1e30), random, and exactly 4 (the depth of the z-fighting triangles
+// below, so the `z >= depth` test is decided by rounding).
+class RowKernelPair {
+ public:
+  RowKernelPair(int w, int h, std::uint64_t seed) : scalar_(w, h), avx2_(w, h) {
+    rt::Rng rng(seed);
+    for (std::size_t i = 0; i < scalar_.intensity.size(); ++i) {
+      const auto v = static_cast<std::uint8_t>(rng.uniform_int(256));
+      const auto id = static_cast<std::uint16_t>(rng.uniform_int(4));
+      const double pick = rng.uniform();
+      const float d = pick < 0.4   ? 1e30f
+                      : pick < 0.7 ? 4.0f
+                                   : static_cast<float>(rng.uniform(0.5, 20));
+      for (GuardedFrame* f : {&scalar_, &avx2_}) {
+        f->intensity[i] = v;
+        f->ids[i] = id;
+        f->depth[i] = d;
+      }
+    }
+  }
+
+  void fill(const kernels::RasterTriangle& t, int y, int first, int last,
+            std::uint16_t id) {
+    TextureSampler a(0x5eed + id, 3.0), b(0x5eed + id, 3.0);
+    kernels::raster_row_scalar(t, scalar_.row(y, id), first, last, a);
+    kernels::raster_row_avx2(t, avx2_.row(y, id), first, last, b);
+  }
+
+  [[nodiscard]] bool same() const {
+    const std::size_t n = scalar_.intensity.size();
+    return std::memcmp(scalar_.intensity.data(), avx2_.intensity.data(),
+                       n) == 0 &&
+           std::memcmp(scalar_.ids.data(), avx2_.ids.data(), 2 * n) == 0 &&
+           std::memcmp(scalar_.depth.data(), avx2_.depth.data(), 4 * n) == 0;
+  }
+
+  // Pixels of the scalar frame whose id is `id`.
+  [[nodiscard]] int count(std::uint16_t id) const {
+    int n = 0;
+    for (std::size_t i = 0; i < scalar_.ids.size(); ++i) {
+      n += scalar_.ids[i] == id ? 1 : 0;
+    }
+    return n;
+  }
+
+ private:
+  GuardedFrame scalar_;
+  GuardedFrame avx2_;
+};
+
+// A triangle as rasterize_mesh sets it up, with its clipped pixel box.
+struct SetUpTriangle {
+  kernels::RasterTriangle t;
+  int x0, x1, y0, y1;
+};
+
+// rasterize_mesh's set-up (near clip, project, area cut-off, box) for
+// every triangle of every object of `cfg` at frame 0.
+std::vector<SetUpTriangle> set_up_triangles(const SceneConfig& cfg) {
+  const geom::PinholeCamera& cam = cfg.camera;
+  const geom::SE3 t_cw = cfg.path.pose_at(0.0);
+  std::vector<SetUpTriangle> out;
+  for (const auto& obj : cfg.objects) {
+    const geom::SE3 t_co = t_cw * obj.motion.pose_at(0.0);
+    for (const auto& tri : obj.mesh.triangles) {
+      const geom::Vec3 v[3] = {obj.mesh.vertices[tri.a],
+                               obj.mesh.vertices[tri.b],
+                               obj.mesh.vertices[tri.c]};
+      const reference::ClipVertex in[3] = {
+          {t_co * v[0], v[0]}, {t_co * v[1], v[1]}, {t_co * v[2], v[2]}};
+      reference::ClipVertex poly[4];
+      const int n = reference::clip_near(in, reference::kNearZ, poly);
+      for (int k = 2; k < n; ++k) {
+        const reference::ClipVertex* c[3] = {&poly[0], &poly[k - 1],
+                                             &poly[k]};
+        SetUpTriangle s{};
+        bool projected = true;
+        for (int i = 0; i < 3; ++i) {
+          const auto p = cam.project(c[i]->cam, reference::kNearZ * 0.5);
+          if (!p) projected = false;
+          if (!p) break;
+          s.t.px[i] = *p;
+          s.t.inv_z[i] = 1.0 / c[i]->cam.z;
+          s.t.obj[i] = c[i]->obj;
+        }
+        if (!projected) continue;
+        const geom::Vec2* px = s.t.px;
+        const double area = (px[1].x - px[0].x) * (px[2].y - px[0].y) -
+                            (px[1].y - px[0].y) * (px[2].x - px[0].x);
+        if (std::abs(area) < 1e-9) continue;
+        s.t.inv_area = 1.0 / area;
+        s.x0 = std::max(0, static_cast<int>(std::floor(
+                               std::min({px[0].x, px[1].x, px[2].x}))));
+        s.x1 = std::min(cam.width - 1,
+                        static_cast<int>(std::ceil(
+                            std::max({px[0].x, px[1].x, px[2].x}))));
+        s.y0 = std::max(0, static_cast<int>(std::floor(
+                               std::min({px[0].y, px[1].y, px[2].y}))));
+        s.y1 = std::min(cam.height - 1,
+                        static_cast<int>(std::ceil(
+                            std::max({px[0].y, px[1].y, px[2].y}))));
+        out.push_back(s);
+      }
+    }
+  }
+  return out;
+}
+
+// A fronto-parallel triangle at depth exactly 4 whose vertices all carry
+// the object point (1, -1, 0.5): 1 and -1 sit on the coarse texture
+// lattice (scale 3). Mathematically z = 4 and obj = (1, -1, 0.5) at every
+// pixel, so the depth test against a stored 4 and the texture cell are
+// decided by the rounding of the interpolation sums.
+kernels::RasterTriangle z_fighting(geom::Vec2 a, geom::Vec2 b, geom::Vec2 c) {
+  kernels::RasterTriangle t;
+  t.px[0] = a;
+  t.px[1] = b;
+  t.px[2] = c;
+  for (int i = 0; i < 3; ++i) {
+    t.inv_z[i] = 0.25;
+    t.obj[i] = {1.0, -1.0, 0.5};
+  }
+  const double area =
+      (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+  t.inv_area = 1.0 / area;
+  return t;
+}
+
+}  // namespace
+
+TEST(RasterKernels, AdversarialTrianglesScalarAndAvx2Agree) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const SceneConfig cfg = adversarial_scene();
+  const auto tris = set_up_triangles(cfg);
+  ASSERT_GT(tris.size(), 200u);
+  RowKernelPair pair(cfg.camera.width, cfg.camera.height, 21);
+  for (std::size_t i = 0; i < tris.size(); ++i) {
+    const SetUpTriangle& s = tris[i];
+    // Every row of the box, whole: a superset of the renderer's spans.
+    for (int y = s.y0; y <= s.y1; ++y) {
+      pair.fill(s.t, y, s.x0, s.x1, static_cast<std::uint16_t>(i % 60 + 1));
+    }
+    ASSERT_TRUE(pair.same()) << "triangle " << i;
+  }
+}
+
+TEST(RasterKernels, ShortSpansAndTheLastPixelOfTheFrame) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const int w = 61, h = 9;
+  RowKernelPair pair(w, h, 22);
+  // A triangle over the whole frame, at varying depth.
+  kernels::RasterTriangle big = z_fighting({-50, -50}, {200, -40}, {-40, 300});
+  big.inv_z[1] = 0.1;
+  big.obj[2] = {3.7, 0.2, -1.1};
+  std::uint16_t id = 10;
+  for (int len = 1; len <= 7; ++len) {
+    // Every start lane, the row's first pixel, and spans ending at x = w − 1.
+    for (const int first : {0, 1, 2, 3, 4, 5, 13, w - len}) {
+      for (int y = 0; y < h; ++y) pair.fill(big, y, first, first + len - 1, id);
+      ASSERT_TRUE(pair.same()) << "length " << len << " first " << first;
+      ++id;
+    }
+  }
+  // The last row, ending at the last pixel of every buffer.
+  for (int first = w - 9; first < w; ++first) {
+    pair.fill(big, h - 1, first, w - 1, ++id);
+    ASSERT_TRUE(pair.same()) << "last row from " << first;
+  }
+}
+
+TEST(RasterKernels, ZFightingIsDecidedTheSameWay) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const int w = 160, h = 120;
+  RowKernelPair pair(w, h, 23);
+  // Vertices on pixel centres with small integer slopes put many pixel
+  // centres exactly on an edge, where the weight is 0 up to rounding.
+  const kernels::RasterTriangle tris[] = {
+      z_fighting({2.5, 2.5}, {150.5, 2.5}, {2.5, 110.5}),
+      z_fighting({150.5, 2.5}, {150.5, 110.5}, {2.5, 110.5}),
+      z_fighting({10.5, 5.5}, {90.5, 45.5}, {20.5, 115.5}),
+      z_fighting({155.5, 117.5}, {3.5, 60.5}, {130.5, 1.5}),
+      z_fighting({0.3, 0.7}, {159.9, 30.1}, {40.2, 119.6}),
+  };
+  std::uint16_t id = 100;
+  for (const auto& t : tris) {
+    ++id;
+    for (int y = 0; y < h; ++y) pair.fill(t, y, 0, w - 1, id);
+    ASSERT_TRUE(pair.same()) << "triangle " << id;
+    EXPECT_GT(pair.count(id), 0);
+  }
+}
+
+TEST(RasterKernels, NanWeightsPassAndNanDepthWrites) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const int w = 37, h = 11;
+  RowKernelPair pair(w, h, 24);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Every weight NaN: every pixel passes and writes a NaN depth.
+  kernels::RasterTriangle all = z_fighting({1, 1}, {30, 2}, {5, 10});
+  all.inv_area = nan;
+  // One NaN vertex coordinate: w0 stays finite, w1 and w2 are NaN, so
+  // exactly the pixels with w0 >= 0 write.
+  kernels::RasterTriangle one = z_fighting({1, 1}, {30, 2}, {5, 10});
+  one.px[0].x = nan;
+  for (int y = 0; y < h; ++y) pair.fill(all, y, 0, w - 1, 7);
+  ASSERT_TRUE(pair.same());
+  EXPECT_EQ(pair.count(7), w * h);
+  for (int y = 0; y < h; ++y) pair.fill(one, y, 3, w - 2, 8);
+  ASSERT_TRUE(pair.same());
+  EXPECT_GT(pair.count(8), 0);
+  EXPECT_LT(pair.count(8), w * h);
+}
+
+TEST(NoiseKernels, ScalarAndAvx2AgreeOnEveryTailLength) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  rt::Rng rng(31);
+  kernels::NoiseBlock block;
+  for (std::size_t k = 0; k < kernels::kNoiseBlockPairs; ++k) {
+    const rt::Rng::PolarDraw d = rng.polar_draw();
+    block.u[k] = d.u;
+    block.v[k] = d.v;
+    block.s[k] = d.s;
+    block.m2log_s[k] = -2.0 * std::log(d.s);
+  }
+  int low = 0, high = 0;
+  for (const std::size_t pixels :
+       {1, 2, 3, 5, 7, 8, 9, 11, 15, 16, 17, 23, 255, 257, 509, 511, 512}) {
+    // sigma 1000 saturates at both 0 and 255.
+    for (const double sigma : {0.0, 0.5, 6.0, 1000.0}) {
+      testutil::GuardedBuffer<std::uint8_t> scalar(pixels), avx2(pixels);
+      std::vector<std::uint8_t> before(pixels);
+      for (std::size_t i = 0; i < pixels; ++i) {
+        const auto random = static_cast<std::uint8_t>(rng.uniform_int(256));
+        before[i] = i % 7 == 0 ? 0 : i % 7 == 1 ? 255 : random;
+        scalar[i] = avx2[i] = before[i];
+      }
+      kernels::shape_noise_scalar(scalar.data(), pixels, block, sigma);
+      kernels::shape_noise_avx2(avx2.data(), pixels, block, sigma);
+      ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(), pixels), 0)
+          << pixels << " pixels, sigma " << sigma;
+      for (std::size_t i = 0; i < pixels; ++i) {
+        // What rng.normal(0, sigma) per pixel gives for this draw.
+        const std::size_t k = i / 2;
+        const double f = rt::Rng::polar_factor(block.s[k]);
+        const double z = (i % 2 == 0 ? block.u[k] : block.v[k]) * f;
+        const double v = before[i] + (0.0 + sigma * z);
+        ASSERT_EQ(scalar[i],
+                  static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)))
+            << pixels << " pixels, sigma " << sigma << ", pixel " << i;
+        if (sigma == 0.0) {
+          ASSERT_EQ(scalar[i], before[i]);
+        } else if (sigma == 1000.0) {
+          low += scalar[i] == 0 ? 1 : 0;
+          high += scalar[i] == 255 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(low, 100);
+  EXPECT_GT(high, 100);
 }

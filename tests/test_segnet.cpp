@@ -60,6 +60,45 @@ TEST(Anchors, FullFrameCountMatchesFpnGeometry) {
               static_cast<double>(expected), expected * 0.02);
 }
 
+TEST(Anchors, FullSetKeepsItsAnchorsAndOrder) {
+  // The generator as a plain loop, growing its vector as it goes.
+  auto reference = [](int width, int height,
+                      const std::vector<FpnLevel>& levels) {
+    std::vector<Anchor> out;
+    for (std::size_t li = 0; li < levels.size(); ++li) {
+      const auto& lvl = levels[li];
+      for (int y = lvl.stride / 2; y < height; y += lvl.stride) {
+        for (int x = lvl.stride / 2; x < width; x += lvl.stride) {
+          for (const double ratio : kAspectRatios) {
+            const double w = lvl.anchor_size * std::sqrt(ratio);
+            const double h = lvl.anchor_size / std::sqrt(ratio);
+            mask::Box b{static_cast<int>(x - w / 2),
+                        static_cast<int>(y - h / 2),
+                        static_cast<int>(x + w / 2),
+                        static_cast<int>(y + h / 2)};
+            b = b.intersect({0, 0, width, height});
+            if (!b.empty()) out.push_back({b, static_cast<int>(li)});
+          }
+        }
+      }
+    }
+    return out;
+  };
+  const auto levels = default_fpn_levels();
+  for (const auto& [w, h] : {std::pair{640, 480}, std::pair{641, 479},
+                             std::pair{33, 2}, std::pair{1, 1},
+                             std::pair{0, 480}}) {
+    const auto got = generate_full_anchors(w, h, levels);
+    const auto want = reference(w, h, levels);
+    ASSERT_EQ(got.size(), want.size()) << w << "x" << h;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].box, want[i].box) << w << "x" << h << " at " << i;
+      ASSERT_EQ(got[i].level, want[i].level) << w << "x" << h << " at " << i;
+    }
+  }
+  EXPECT_EQ(generate_full_anchors(640, 480, levels).size(), 76710u);
+}
+
 TEST(Anchors, RegionsShrinkAnchorSet) {
   const auto levels = default_fpn_levels();
   const auto full = generate_full_anchors(640, 480, levels);
