@@ -215,6 +215,18 @@ static void BM_SceneRender(benchmark::State& state) {
 }
 BENCHMARK(BM_SceneRender)->Unit(benchmark::kMillisecond);
 
+static void BM_SceneRenderCrowd(benchmark::State& state) {
+  // The crowded stress scene: twelve objects, most of them small on screen,
+  // so short spans and texture-cell changes weigh more than in davis.
+  scene::SceneSimulator sim(
+      scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 240));
+  int i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.render(i++ % 240));
+  }
+}
+BENCHMARK(BM_SceneRenderCrowd)->Unit(benchmark::kMillisecond);
+
 // Like BENCHMARK_MAIN(), but defaulting to a JSON dump beside the
 // console output (nightly CI uploads it as a tracked artifact). Any
 // explicit --benchmark_out on the command line wins.

@@ -14,7 +14,8 @@ namespace edgeis::core {
 
 PureMobilePipeline::PureMobilePipeline(const scene::SceneConfig& scene_config,
                                        PipelineConfig config)
-    : scene_config_(scene_config),
+    : camera_(scene_config.camera),
+      fps_(scene_config.fps),
       config_(std::move(config)),
       instance_class_(instance_class_table(scene_config)),
       model_(config_.model, rt::Rng(config_.seed ^ 0x90b11eULL)),
@@ -29,7 +30,7 @@ FrameOutput PureMobilePipeline::process(const scene::RenderedFrame& frame) {
   // runs for many frame intervals and must be allowed to overlap them.
   rt::ScopedSpan frame_span(tracer_, rt::track::kMobile, "frame", now_ms,
                             {{"frame", frame.index}});
-  frame_span.set_end(now_ms + 1000.0 / scene_config_.fps);
+  frame_span.set_end(now_ms + 1000.0 / fps_);
 
   if (in_flight_ && in_flight_->first <= now_ms) {
     latest_masks_ = std::move(in_flight_->second);
@@ -43,8 +44,8 @@ FrameOutput PureMobilePipeline::process(const scene::RenderedFrame& frame) {
   if (!in_flight_ && now_ms >= busy_until_ms_) {
     // Start inference on the freshest frame; the device is busy until done.
     segnet::InferenceRequest req;
-    req.width = scene_config_.camera.width;
-    req.height = scene_config_.camera.height;
+    req.width = camera_.width;
+    req.height = camera_.height;
     req.oracle = build_oracle(frame, instance_class_);
     req.content_quality = 1.0;
     auto result = model_.infer(req);
@@ -63,7 +64,7 @@ FrameOutput PureMobilePipeline::process(const scene::RenderedFrame& frame) {
   }
 
   // CPU is pegged by inference: the full frame budget is busy time.
-  out.mobile_latency_ms = 1000.0 / scene_config_.fps;
+  out.mobile_latency_ms = 1000.0 / fps_;
   out.rendered_masks = latest_masks_;
   out.tracking_ok = true;
   return out;
@@ -76,7 +77,7 @@ FrameOutput PureMobilePipeline::process(const scene::RenderedFrame& frame) {
 TrackDetectPipeline::TrackDetectPipeline(
     const scene::SceneConfig& scene_config, PipelineConfig config,
     TrackDetectPolicy policy, bool best_effort_motion_vector)
-    : scene_config_(scene_config),
+    : camera_(scene_config.camera),
       config_(std::move(config)),
       policy_(policy),
       best_effort_motion_vector_(best_effort_motion_vector),
@@ -102,7 +103,7 @@ std::string TrackDetectPipeline::name() const {
 
 FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
   const double now_ms = frame.timestamp * 1000.0;
-  const auto& cam = scene_config_.camera;
+  const auto& cam = camera_;
   FrameOutput out;
   out.frame_index = frame.index;
 

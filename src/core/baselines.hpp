@@ -37,7 +37,8 @@ class PureMobilePipeline : public Pipeline {
   void set_tracer(rt::Tracer* tracer) override { tracer_ = tracer; }
 
  private:
-  scene::SceneConfig scene_config_;
+  geom::PinholeCamera camera_;  // with fps_, all it keeps of SceneConfig
+  double fps_;
   PipelineConfig config_;
   std::unordered_map<int, int> instance_class_;
   segnet::SegmentationModel model_;
@@ -69,7 +70,7 @@ class TrackDetectPipeline : public Pipeline {
   /// the frame's masks once its chunk set is complete.
   void accept_chunk(EdgeServer::Response r, double now_ms);
 
-  scene::SceneConfig scene_config_;
+  geom::PinholeCamera camera_;  // all it keeps of SceneConfig
   PipelineConfig config_;
   TrackDetectPolicy policy_;
   bool best_effort_motion_vector_;

@@ -15,7 +15,7 @@ namespace edgeis::core {
 
 EdgeISPipeline::EdgeISPipeline(const scene::SceneConfig& scene_config,
                                PipelineConfig config)
-    : scene_config_(scene_config),
+    : camera_(scene_config.camera),
       config_(std::move(config)),
       instance_class_(instance_class_table(scene_config)),
       rng_(config_.seed ^ 0xed9e15ULL),
@@ -562,7 +562,7 @@ bool EdgeISPipeline::pair_geometry_ok(
   strict.min_median_parallax_deg = 1.5;
   strict.min_matches = 80;
   strict.min_median_displacement_px = 0.0;
-  const auto result = vo::initialize_map(scene_config_.camera, input,
+  const auto result = vo::initialize_map(camera_, input,
                                          scratch, probe, strict);
   if (!result) return false;
 
@@ -601,7 +601,7 @@ bool EdgeISPipeline::pair_geometry_ok(
     corrs.push_back({points[m.index0]->position,
                      probe_mid_->features[m.index1].kp.pixel});
   }
-  const auto pnp = geom::solve_pnp(scene_config_.camera, corrs, guess);
+  const auto pnp = geom::solve_pnp(camera_, corrs, guess);
   if (!pnp || pnp->inlier_count < 25) return false;
   const double rot_err_deg =
       pnp->t_cw.rotation_angle_to(guess) * 180.0 / M_PI;
@@ -630,7 +630,7 @@ void EdgeISPipeline::try_initialize() {
 
   vo::TrackerOptions topts;
   topts.search_radius = 24.0;
-  tracker_ = std::make_unique<vo::Tracker>(scene_config_.camera, &map_,
+  tracker_ = std::make_unique<vo::Tracker>(camera_, &map_,
                                            rng_.fork(), topts);
   tracker_->annotate_keyframe(init_ref_->frame_index,
                               *init_ref_->edge_masks);
@@ -648,7 +648,7 @@ void EdgeISPipeline::try_initialize() {
   init_pose_ = result.t_cw1;
   init_pose_frame_ = init_pair_second_->frame_index;
   just_initialized_ = true;
-  mamt_ = std::make_unique<transfer::MaskTransfer>(scene_config_.camera,
+  mamt_ = std::make_unique<transfer::MaskTransfer>(camera_,
                                                    &map_);
   phase_ = Phase::kRunning;
   rt::Log::debug(rt::LogSub::kCore,
@@ -662,7 +662,7 @@ std::vector<mask::Box> EdgeISPipeline::new_area_boxes(
   // Bounding box of features matched to not-yet-annotated map points: the
   // "newly emerging scene" region that needs pixel-level annotation.
   int count = 0;
-  mask::Box box{scene_config_.camera.width, scene_config_.camera.height, 0, 0};
+  mask::Box box{camera_.width, camera_.height, 0, 0};
   for (std::size_t i = 0; i < obs.features.size(); ++i) {
     const int pid = obs.matched_point_ids[i];
     if (pid < 0) continue;
@@ -676,14 +676,14 @@ std::vector<mask::Box> EdgeISPipeline::new_area_boxes(
     ++count;
   }
   if (count < 10 || box.empty()) return {};
-  return {box.inflated(16, scene_config_.camera.width,
-                       scene_config_.camera.height)};
+  return {box.inflated(16, camera_.width,
+                       camera_.height)};
 }
 
 void EdgeISPipeline::predict_uplink_warp(const vo::FrameObservation& obs,
                                          enc::UplinkFrameInput& in) const {
   if (!have_last_tx_pose_ || !obs.tracking_ok) return;
-  const auto& cam = scene_config_.camera;
+  const auto& cam = camera_;
   // Where does last-keyframe content sit in this frame? Reproject a
   // scene-depth point at the image center of the last transmitted frame
   // through the current pose. The dominant depth comes from the VO map:
@@ -723,7 +723,7 @@ std::size_t EdgeISPipeline::transmit(
     const std::vector<transfer::TransferredMask>& priors,
     const std::vector<mask::Box>& new_areas, double now_ms,
     bool full_quality) {
-  const auto& cam = scene_config_.camera;
+  const auto& cam = camera_;
 
   std::vector<mask::InstanceMask> prior_masks;
   prior_masks.reserve(priors.size());
@@ -952,8 +952,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
       // sends the bootstrap back to pair selection instead of wedging.
       for (const StoredFrame* sf : {&*init_ref_, &*init_pair_second_}) {
         segnet::InferenceRequest req;
-        req.width = scene_config_.camera.width;
-        req.height = scene_config_.camera.height;
+        req.width = camera_.width;
+        req.height = camera_.height;
         req.oracle = sf->oracle;
         req.content_quality = 1.0;
         const auto encoded = enc::encode_uniform(
@@ -1225,8 +1225,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
           if (p.instance_id == instance_id) has_pred = true;
         }
         if (has_pred) continue;
-        mask::Box box{scene_config_.camera.width,
-                      scene_config_.camera.height, 0, 0};
+        mask::Box box{camera_.width,
+                      camera_.height, 0, 0};
         int count = 0;
         for (std::size_t i = 0; i < obs.features.size(); ++i) {
           const int pid = obs.matched_point_ids[i];
@@ -1241,8 +1241,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
           ++count;
         }
         if (count >= 3 && !box.empty()) {
-          new_areas.push_back(box.inflated(48, scene_config_.camera.width,
-                                           scene_config_.camera.height));
+          new_areas.push_back(box.inflated(48, camera_.width,
+                                           camera_.height));
         }
       }
     }
@@ -1251,8 +1251,8 @@ FrameOutput EdgeISPipeline::process(const scene::RenderedFrame& frame) {
         /*full_quality=*/!config_.enable_cfrs || full_frame_refresh_);
     out.transmitted = true;
     ++tx_count_;
-    const int tiles = (scene_config_.camera.width / 64 + 1) *
-                      (scene_config_.camera.height / 64 + 1);
+    const int tiles = (camera_.width / 64 + 1) *
+                      (camera_.height / 64 + 1);
     const double encode_dur_ms =
         cost_model_.encode_us_per_tile * tiles / 1000.0;
     latency_ms += encode_dur_ms;

@@ -169,7 +169,7 @@ class EdgeISPipeline : public Pipeline {
   std::vector<mask::Box> new_area_boxes(
       const vo::FrameObservation& obs) const;
 
-  scene::SceneConfig scene_config_;
+  geom::PinholeCamera camera_;  // all it keeps of SceneConfig
   PipelineConfig config_;
   rt::Tracer* tracer_ = nullptr;  // non-owning; null = tracing off
   // End of the previous frame's span: a frame whose latency exceeds the

@@ -1,8 +1,8 @@
-// The BRIEF interior sampler in a scalar and an AVX2 form. Internal to
-// the features library: BriefDescriptorExtractor picks a form per call
-// with rt::cpu_has_avx2(), and the tests compare the two forms bit for
-// bit. The AVX2 form exists only on x86-64; elsewhere it forwards to the
-// scalar form, and nothing calls it.
+// The BRIEF samplers, interior and border, each in a scalar and an AVX2
+// form. Internal to the features library: BriefDescriptorExtractor picks
+// a form per call with rt::cpu_has_avx2(), and the tests compare the two
+// forms bit for bit. The AVX2 forms exist only on x86-64; elsewhere they
+// forward to the scalar forms, and nothing calls them.
 #pragma once
 
 #include <cstddef>
@@ -34,5 +34,18 @@ Descriptor describe_interior_scalar(const BriefPattern& pattern,
 Descriptor describe_interior_avx2(const BriefPattern& pattern,
                                   const std::uint8_t* data,
                                   std::size_t stride, const Keypoint& kp);
+
+/// Descriptor of any keypoint of the row-major `width` x `height` image
+/// at `data`, sampled as img::Image::sample_bilinear samples: x0 =
+/// floor(x), and x0, x0 + 1 (and the same for y) clamped into the image.
+/// The AVX2 form reads only [data, data + width·height) and needs the
+/// image to be at least 4 and under 2^31 bytes, and every sample's floor
+/// to lie well inside int32 (a keypoint under 2^30 px from the origin).
+Descriptor describe_border_scalar(const BriefPattern& pattern,
+                                  const std::uint8_t* data, int width,
+                                  int height, const Keypoint& kp);
+Descriptor describe_border_avx2(const BriefPattern& pattern,
+                                const std::uint8_t* data, int width,
+                                int height, const Keypoint& kp);
 
 }  // namespace edgeis::feat::kernels

@@ -1,5 +1,6 @@
 #include "scene/mesh.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace edgeis::scene {
@@ -21,6 +22,8 @@ void add_quad(Mesh& m, const geom::Vec3& p0, const geom::Vec3& p1,
 Mesh make_box(double sx, double sy, double sz) {
   const double x = sx / 2, y = sy / 2, z = sz / 2;
   Mesh m;
+  m.vertices.reserve(24);
+  m.triangles.reserve(12);
   // +z face
   add_quad(m, {-x, -y, z}, {x, -y, z}, {x, y, z}, {-x, y, z});
   // -z face
@@ -38,12 +41,23 @@ Mesh make_box(double sx, double sy, double sz) {
 
 Mesh make_cylinder(double radius, double height, int segments) {
   Mesh m;
+  // Per segment: a side quad and two cap triangles.
+  const auto n = static_cast<std::size_t>(std::max(segments, 0));
+  m.vertices.reserve(10 * n);
+  m.triangles.reserve(4 * n);
   const double h = height / 2;
+  // Segment i's trailing edge at angle(i + 1) is segment i + 1's leading
+  // edge: the same expression, so its cos and sin carry over.
+  const auto angle = [segments](int i) { return 2.0 * M_PI * i / segments; };
+  double cos0 = std::cos(angle(0));
+  double sin0 = std::sin(angle(0));
   for (int i = 0; i < segments; ++i) {
-    const double a0 = 2.0 * M_PI * i / segments;
-    const double a1 = 2.0 * M_PI * (i + 1) / segments;
-    const geom::Vec3 b0{radius * std::cos(a0), -h, radius * std::sin(a0)};
-    const geom::Vec3 b1{radius * std::cos(a1), -h, radius * std::sin(a1)};
+    const double cos1 = std::cos(angle(i + 1));
+    const double sin1 = std::sin(angle(i + 1));
+    const geom::Vec3 b0{radius * cos0, -h, radius * sin0};
+    const geom::Vec3 b1{radius * cos1, -h, radius * sin1};
+    cos0 = cos1;
+    sin0 = sin1;
     const geom::Vec3 t0{b0.x, h, b0.z};
     const geom::Vec3 t1{b1.x, h, b1.z};
     add_quad(m, b0, b1, t1, t0);

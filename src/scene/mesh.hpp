@@ -21,6 +21,7 @@ struct Mesh {
 
   void append(const Mesh& other) {
     const auto base = static_cast<std::uint32_t>(vertices.size());
+    triangles.reserve(triangles.size() + other.triangles.size());
     vertices.insert(vertices.end(), other.vertices.begin(),
                     other.vertices.end());
     for (const auto& t : other.triangles) {

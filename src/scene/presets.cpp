@@ -73,6 +73,7 @@ void place_ring(SceneConfig& cfg, std::span<const ObjectClass> classes,
                 double ring, rt::Rng& rng) {
   int id = static_cast<int>(cfg.objects.size()) + 1;
   const auto count = classes.size();
+  cfg.objects.reserve(cfg.objects.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
     const double angle =
         2.0 * M_PI * static_cast<double>(i) / static_cast<double>(count) +
@@ -381,6 +382,7 @@ SceneConfig stress_crowd(std::uint64_t seed, int frames) {
   cfg.name = "stress-crowd";
   cfg.room_size = 24.0;
   const double T = frames / cfg.fps;
+  cfg.objects.reserve(12);  // both rings, the walker and the car
   rt::Rng rng(seed ^ 0xc40bdULL);
   const ObjectClass inner[] = {ObjectClass::kCrate, ObjectClass::kPerson,
                                ObjectClass::kCabinet, ObjectClass::kCrate};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
@@ -241,13 +242,14 @@ void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
 
 // Adds N(0, sigma) to every pixel in row-major order: the same draws and
 // arithmetic as `px + rng.normal(0.0, sigma)` pixel by pixel, where pixel
-// 2k takes pair k's u·f and pixel 2k + 1 its spare v·f. The Marsaglia
-// rejection branch mispredicts, so each block first draws its accepted
-// (u, v, s) triples, then takes one libm log per pair, and then runs the
-// div/sqrt/scale chains branch-free (kernels::shape_noise_*), letting them
-// overlap. With an odd pixel count the last spare goes unused, as it did
-// per pixel. Blocks stay on the stack: a frame-sized draw buffer (3.7 MB
-// at 640x480) shows up in peak RSS.
+// 2k takes pair k's u·f and pixel 2k + 1 its spare v·f. Each block first
+// draws its accepted (u, v, s) triples without a branch on the draw
+// (kernels::draw_polar; the Marsaglia rejection branch mispredicts), then
+// takes one libm log per pair, and then runs the div/sqrt/scale chains
+// branch-free (kernels::shape_noise_*), letting them overlap. With an odd
+// pixel count the last spare goes unused, as it did per pixel. Blocks
+// stay on the stack: a frame-sized draw buffer (3.7 MB at 640x480) shows
+// up in peak RSS.
 void add_sensor_noise(img::GrayImage& image, double sigma, rt::Rng& rng) {
   const auto shape = rt::cpu_has_avx2() ? kernels::shape_noise_avx2
                                         : kernels::shape_noise_scalar;
@@ -258,12 +260,7 @@ void add_sensor_noise(img::GrayImage& image, double sigma, rt::Rng& rng) {
   for (std::size_t start = 0; start < n; start += kBlockPixels) {
     const std::size_t pixels = std::min(n - start, kBlockPixels);
     const std::size_t pairs = (pixels + 1) / 2;
-    for (std::size_t k = 0; k < pairs; ++k) {
-      const rt::Rng::PolarDraw d = rng.polar_draw();
-      block.u[k] = d.u;
-      block.v[k] = d.v;
-      block.s[k] = d.s;
-    }
+    kernels::draw_polar(rng, block, pairs);
     for (std::size_t k = 0; k < pairs; ++k) {
       block.m2log_s[k] = -2.0 * __builtin_log(block.s[k]);
     }
@@ -500,6 +497,18 @@ void raster_row_scalar(const RasterTriangle& tri, const RasterRow& row,
   }
 }
 
+std::uint32_t texture4_scalar(const double x[4], const double y[4],
+                              const double z[4], unsigned write,
+                              TextureSampler& texture) {
+  std::uint32_t bytes = 0;
+  for (int k = 0; k < 4; ++k) {
+    if ((write >> k & 1u) == 0) continue;
+    TextureSampler fresh(texture.seed(), texture.scale());
+    bytes |= std::uint32_t{fresh({x[k], y[k], z[k]})} << (8 * k);
+  }
+  return bytes;
+}
+
 namespace {
 
 // Pixels 2·k0 .. pixels − 1 of a noise block, one pair at a time.
@@ -544,6 +553,133 @@ namespace {
   return _mm256_mul_pd(sum, z);
 }
 
+// a·b mod 2^64 in each 64-bit lane, from three 32x32 -> 64-bit products:
+// lo(a)·lo(b) + ((hi(a)·lo(b) + lo(a)·hi(b)) << 32).
+[[gnu::target("avx2")]] inline __m256i mul64(__m256i a, std::uint64_t b) {
+  const __m256i b_lo = _mm256_set1_epi64x(static_cast<long long>(b));
+  const __m256i b_hi = _mm256_set1_epi64x(static_cast<long long>(b >> 32));
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b_lo),
+                       _mm256_mul_epu32(a, b_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+// hash3 in four 64-bit lanes. The last step, (h >> 11)·2^-53, is exact:
+// the 53-bit integer's high 21 bits ride in the mantissa of 2^84 and its
+// low 32 bits in that of 2^52; (2^84 + hi·2^32) − (2^84 + 2^52) is an
+// integer below 2^53 in magnitude, and adding 2^52 + lo gives hi·2^32 + lo,
+// also below 2^53. Each step's exact result is a double, so none rounds.
+[[gnu::target("avx2")]] inline __m256d hash3x4(__m256i x, __m256i y,
+                                               __m256i z, __m256i seed) {
+  __m256i h = _mm256_xor_si256(seed, mul64(x, 0x9e3779b97f4a7c15ULL));
+  h = mul64(_mm256_xor_si256(h, _mm256_srli_epi64(h, 30)),
+            0xbf58476d1ce4e5b9ULL);
+  h = _mm256_xor_si256(h, mul64(y, 0xc2b2ae3d27d4eb4fULL));
+  h = mul64(_mm256_xor_si256(h, _mm256_srli_epi64(h, 27)),
+            0x94d049bb133111ebULL);
+  h = _mm256_xor_si256(h, mul64(z, 0x165667b19e3779f9ULL));
+  h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 31));
+  const __m256i u = _mm256_srli_epi64(h, 11);
+  const __m256d hi = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_srli_epi64(u, 32), _mm256_set1_epi64x(0x4530000000000000)));
+  const __m256d lo = _mm256_castsi256_pd(
+      _mm256_blend_epi32(u, _mm256_set1_epi64x(0x4330000000000000), 0xaa));
+  const __m256d value =
+      _mm256_add_pd(_mm256_sub_pd(hi, _mm256_set1_pd(0x1p84 + 0x1p52)), lo);
+  return _mm256_mul_pd(value, _mm256_set1_pd(0x1p-53));
+}
+
+// An integer-valued double in [−2^31, 2^31) as a sign-extended 64-bit lane.
+[[gnu::target("avx2")]] inline __m256i cell_index4(__m256d floor) {
+  return _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(floor));
+}
+
+// The sampler's scalar lookup for the lanes set in `writing`, in the low
+// byte of each 32-bit lane (0 elsewhere).
+[[gnu::target("avx2"), gnu::noinline, gnu::cold]] __m128i
+texture4_scalar_lanes(__m256d ox, __m256d oy, __m256d oz, unsigned writing,
+                      TextureSampler& texture) {
+  alignas(32) double x[4], y[4], z[4];
+  _mm256_store_pd(x, ox);
+  _mm256_store_pd(y, oy);
+  _mm256_store_pd(z, oz);
+  alignas(16) std::int32_t bytes[4] = {};
+  for (unsigned rest = writing; rest != 0; rest &= rest - 1) {
+    const int k = __builtin_ctz(rest);
+    bytes[k] = texture({x[k], y[k], z[k]});
+  }
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(bytes));
+}
+
+// TextureSampler's byte at four lanes, in the low byte of each 32-bit lane,
+// for the lanes that are all-ones in `write`; the other lanes' bytes are
+// unspecified. Same products as the sampler (s = obj·scale, then s·3.1),
+// floors, hash3 of both cells and (45 + 170·c) + 16·(f − 0.5), clamped by
+// max then min (the hashes are in [0, 1), so no NaN reaches it) and
+// truncated. A group whose writing lanes all lie in the memo's two cells
+// takes its byte; a group with a floor outside [−2^31, 2^31) or NaN takes
+// the sampler's scalar lookup per writing lane, which keeps its INT64_MIN
+// rule exact.
+[[gnu::target("avx2"), gnu::always_inline]] inline __m128i texture4(
+    __m256d ox, __m256d oy, __m256d oz, __m256d write,
+    TextureSampler& texture) {
+  const __m256d scale = _mm256_set1_pd(texture.scale());
+  const __m256d f = _mm256_set1_pd(3.1);
+  const __m256d s[3] = {_mm256_mul_pd(ox, scale), _mm256_mul_pd(oy, scale),
+                        _mm256_mul_pd(oz, scale)};
+  __m256d cell[6];
+  for (int i = 0; i < 3; ++i) {
+    cell[i] = _mm256_floor_pd(s[i]);
+    cell[i + 3] = _mm256_floor_pd(_mm256_mul_pd(s[i], f));
+  }
+  TextureSampler::GroupMemo& memo = texture.group_memo();
+  const __m256d lo = _mm256_set1_pd(-0x1p31);
+  const __m256d hi = _mm256_set1_pd(0x1p31);
+  __m256d same = write;
+  __m256d in_range = write;
+  for (int i = 0; i < 6; ++i) {
+    const __m256d memo_cell = _mm256_set1_pd(memo.cell[i]);
+    same = _mm256_and_pd(same, _mm256_cmp_pd(cell[i], memo_cell, _CMP_EQ_OQ));
+    in_range = _mm256_and_pd(
+        in_range, _mm256_and_pd(_mm256_cmp_pd(cell[i], lo, _CMP_GE_OQ),
+                                _mm256_cmp_pd(cell[i], hi, _CMP_LT_OQ)));
+  }
+  // testc(a, write): every lane that writes is set in a.
+  if (_mm256_testc_pd(same, write)) return _mm_set1_epi32(memo.value);
+  const unsigned writing = static_cast<unsigned>(_mm256_movemask_pd(write));
+  if (!_mm256_testc_pd(in_range, write)) {
+    return texture4_scalar_lanes(ox, oy, oz, writing, texture);
+  }
+  const std::uint64_t seed = texture.seed();
+  const __m256d coarse =
+      hash3x4(cell_index4(cell[0]), cell_index4(cell[1]),
+              cell_index4(cell[2]),
+              _mm256_set1_epi64x(static_cast<long long>(seed)));
+  const __m256d fine =
+      hash3x4(cell_index4(cell[3]), cell_index4(cell[4]),
+              cell_index4(cell[5]),
+              _mm256_set1_epi64x(static_cast<long long>(seed ^ 0xf1e5ULL)));
+  const __m256d v = _mm256_add_pd(
+      _mm256_add_pd(_mm256_set1_pd(45.0),
+                    _mm256_mul_pd(_mm256_set1_pd(170.0), coarse)),
+      _mm256_mul_pd(_mm256_set1_pd(16.0),
+                    _mm256_sub_pd(fine, _mm256_set1_pd(0.5))));
+  const __m128i bytes = _mm256_cvttpd_epi32(_mm256_min_pd(
+      _mm256_max_pd(v, _mm256_set1_pd(15.0)), _mm256_set1_pd(240.0)));
+  // The memo takes the last writing lane: the next group starts beside it.
+  const int k = 31 - __builtin_clz(writing);
+  alignas(32) double lane[4];
+  for (int i = 0; i < 6; ++i) {
+    _mm256_store_pd(lane, cell[i]);
+    memo.cell[i] = lane[k];
+  }
+  alignas(16) std::int32_t byte[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(byte), bytes);
+  memo.value = static_cast<std::uint8_t>(byte[k]);
+  return bytes;
+}
+
 // px + (0.0 + sigma·z) for four pixels held as 16-bit lanes, clamped to
 // [0, 255] and truncated to 32-bit lanes.
 [[gnu::target("avx2")]] inline __m128i noisy4(__m128i px16, __m256d z,
@@ -562,8 +698,10 @@ namespace {
 // comparisons' NaN behaviour: a NaN weight is not < 0, so it passes, and
 // a NaN z is not >= the stored depth, so it writes. The depth of lanes
 // past `last` is never loaded (masked load) and no lane past it is
-// written. Covered lanes write one at a time in ascending x, as the
-// scalar loop does, because the texture sampler is per-pixel scalar code.
+// written. Each pixel's outputs depend on that pixel alone (the texture
+// byte is a pure function of its cells), so the lanes that pass write
+// together: depth by masked store, and in a whole group ids and bytes by
+// load, blend and store of the group's own pixels.
 [[gnu::target("avx2")]] void raster_row_avx2(const RasterTriangle& t,
                                              const RasterRow& row, int first,
                                              int last,
@@ -584,6 +722,8 @@ namespace {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d lane_x = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
   const __m128i lane_index = _mm_setr_epi32(0, 1, 2, 3);
+  const __m128i lane_bit = _mm_setr_epi32(1, 2, 4, 8);
+  const __m128i id = _mm_set1_epi16(static_cast<short>(row.instance_id));
   for (int x = first; x <= last; x += 4) {
     const int lanes = std::min(4, last - x + 1);
     const __m256d fx = _mm256_add_pd(_mm256_set1_pd(x + 0.5), lane_x);
@@ -605,33 +745,81 @@ namespace {
     const __m256d a2 = _mm256_mul_pd(w2, iz2);
     const __m256d z =
         _mm256_div_pd(one, _mm256_add_pd(_mm256_add_pd(a0, a1), a2));
-    const __m128 stored =
-        lanes == 4 ? _mm_loadu_ps(row.depth + x)
-                   : _mm_maskload_ps(row.depth + x,
-                                     _mm_cmpgt_epi32(_mm_set1_epi32(lanes),
-                                                     lane_index));
+    const __m128i in_row = _mm_cmpgt_epi32(_mm_set1_epi32(lanes), lane_index);
+    const __m128 stored = lanes == 4
+                              ? _mm_loadu_ps(row.depth + x)
+                              : _mm_maskload_ps(row.depth + x, in_row);
     const __m256d hidden =
         _mm256_cmp_pd(z, _mm256_cvtps_pd(stored), _CMP_GE_OQ);
-    unsigned write = ~static_cast<unsigned>(
-                         _mm256_movemask_pd(_mm256_or_pd(outside, hidden))) &
-                     ((1u << lanes) - 1u);
-    if (write == 0) continue;
-    alignas(32) double zs[4], ox[4], oy[4], oz[4];
-    _mm256_store_pd(zs, z);
-    _mm256_store_pd(ox, interpolate4(t.obj[0].x, t.obj[1].x, t.obj[2].x, a0,
-                                     a1, a2, z));
-    _mm256_store_pd(oy, interpolate4(t.obj[0].y, t.obj[1].y, t.obj[2].y, a0,
-                                     a1, a2, z));
-    _mm256_store_pd(oz, interpolate4(t.obj[0].z, t.obj[1].z, t.obj[2].z, a0,
-                                     a1, a2, z));
-    do {
-      const int k = __builtin_ctz(write);
-      row.depth[x + k] = static_cast<float>(zs[k]);
-      row.ids[x + k] = row.instance_id;
-      row.intensity[x + k] = texture({ox[k], oy[k], oz[k]});
-      write &= write - 1;
-    } while (write != 0);
+    const __m256d write = _mm256_andnot_pd(
+        _mm256_or_pd(outside, hidden),
+        _mm256_castsi256_pd(_mm256_cvtepi32_epi64(in_row)));
+    const unsigned bits = static_cast<unsigned>(_mm256_movemask_pd(write));
+    if (bits == 0) continue;
+    const __m128i tex = texture4(
+        interpolate4(t.obj[0].x, t.obj[1].x, t.obj[2].x, a0, a1, a2, z),
+        interpolate4(t.obj[0].y, t.obj[1].y, t.obj[2].y, a0, a1, a2, z),
+        interpolate4(t.obj[0].z, t.obj[1].z, t.obj[2].z, a0, a1, a2, z),
+        write, texture);
+    const __m128i write32 = _mm_cmpeq_epi32(
+        _mm_and_si128(_mm_set1_epi32(static_cast<int>(bits)), lane_bit),
+        lane_bit);
+    _mm_maskstore_ps(row.depth + x, write32, _mm256_cvtpd_ps(z));
+    if (lanes == 4) {
+      const __m128i write16 = _mm_packs_epi32(write32, write32);
+      auto* ids = reinterpret_cast<__m128i*>(row.ids + x);
+      _mm_storel_epi64(ids, _mm_blendv_epi8(_mm_loadl_epi64(ids), id,
+                                            write16));
+      std::uint32_t px;
+      std::memcpy(&px, row.intensity + x, 4);
+      const __m128i tex8 =
+          _mm_packus_epi16(_mm_packus_epi32(tex, tex), _mm_setzero_si128());
+      px = static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_blendv_epi8(
+          _mm_cvtsi32_si128(static_cast<int>(px)), tex8,
+          _mm_packs_epi16(write16, write16))));
+      std::memcpy(row.intensity + x, &px, 4);
+    } else {
+      alignas(16) std::int32_t bytes[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(bytes), tex);
+      for (unsigned rest = bits; rest != 0; rest &= rest - 1) {
+        const int k = __builtin_ctz(rest);
+        row.ids[x + k] = row.instance_id;
+        row.intensity[x + k] = static_cast<std::uint8_t>(bytes[k]);
+      }
+    }
   }
+}
+
+[[gnu::target("avx2")]] std::uint32_t texture4_avx2(const double x[4],
+                                                    const double y[4],
+                                                    const double z[4],
+                                                    unsigned write,
+                                                    TextureSampler& texture) {
+  if ((write & 0xfu) == 0) return 0;
+  const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256d lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_set1_epi64x(write), lane_bit), lane_bit));
+  alignas(16) std::int32_t bytes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(bytes),
+                  texture4(_mm256_loadu_pd(x), _mm256_loadu_pd(y),
+                           _mm256_loadu_pd(z), lanes, texture));
+  std::uint32_t out = 0;
+  for (int k = 0; k < 4; ++k) {
+    if ((write >> k & 1u) == 0) continue;
+    out |= static_cast<std::uint32_t>(bytes[k] & 0xff) << (8 * k);
+  }
+  return out;
+}
+
+[[gnu::target("avx2")]] void hash3_avx2(const std::int64_t x[4],
+                                        const std::int64_t y[4],
+                                        const std::int64_t z[4],
+                                        std::uint64_t seed, double out[4]) {
+  _mm256_storeu_pd(
+      out, hash3x4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(x)),
+                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y)),
+                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(z)),
+                   _mm256_set1_epi64x(static_cast<long long>(seed))));
 }
 
 // Four pairs (eight pixels) per step: f = sqrt(m2log_s / s), z = u·f and
@@ -669,6 +857,17 @@ namespace {
 void raster_row_avx2(const RasterTriangle& t, const RasterRow& row, int first,
                      int last, TextureSampler& texture) {
   raster_row_scalar(t, row, first, last, texture);
+}
+
+std::uint32_t texture4_avx2(const double x[4], const double y[4],
+                            const double z[4], unsigned write,
+                            TextureSampler& texture) {
+  return texture4_scalar(x, y, z, write, texture);
+}
+
+void hash3_avx2(const std::int64_t x[4], const std::int64_t y[4],
+                const std::int64_t z[4], std::uint64_t seed, double out[4]) {
+  for (int k = 0; k < 4; ++k) out[k] = hash3(x[k], y[k], z[k], seed);
 }
 
 void shape_noise_avx2(std::uint8_t* px, std::size_t pixels,

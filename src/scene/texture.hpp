@@ -46,10 +46,25 @@ class TextureSampler {
     return value_;
   }
 
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
+  [[nodiscard]] double scale() const noexcept { return scale_; }
+
+  /// The memo of the vector texture kernel (kernels::texture4_avx2): the
+  /// cell floors of the lane it hashed last (coarse x, y, z, then fine x,
+  /// y, z) and that lane's byte. The byte is a pure function of the two
+  /// cells, so a group of lanes that all lie in both cells takes it
+  /// unchanged. NaN floors never compare equal: the first group hashes.
+  struct GroupMemo {
+    double cell[6] = {kNaN, kNaN, kNaN, kNaN, kNaN, kNaN};
+    std::uint8_t value = 0;
+  };
+  GroupMemo& group_memo() noexcept { return group_; }
+
  private:
+  static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
   struct Cell {
     // NaN bounds: the first lookup always misses.
-    static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
     double lo[3] = {kNaN, kNaN, kNaN};
     double hi[3] = {kNaN, kNaN, kNaN};
     double hash = 0.0;
@@ -85,6 +100,7 @@ class TextureSampler {
   Cell coarse_;
   Cell fine_;
   std::uint8_t value_ = 0;
+  GroupMemo group_;
 };
 
 }  // namespace edgeis::scene

@@ -775,6 +775,111 @@ TEST(BriefKernels, ExactlySizedImageAtTheMargin) {
   }
 }
 
+// The border kernels: keypoints at every distance 0 .. margin from each
+// edge and corner, on every pyramid level, with the image flush against an
+// inaccessible page on one side and then the other, so a gather that
+// reaches before the first pixel or past the last one faults. The scalar
+// form must also match sample_bilinear on the image itself.
+namespace {
+
+// The border kernels at `kp` on `im`, copied flush against a guard page at
+// each end. Returns the scalar form's descriptor after checking the AVX2
+// form (when the CPU has it) against it on both copies.
+Descriptor check_border(const kernels::BriefPattern& pattern,
+                        const img::GrayImage& im, const Keypoint& kp) {
+  Descriptor want;
+  for (const auto flush : {testutil::Flush::kEnd, testutil::Flush::kStart}) {
+    testutil::GuardedBuffer<std::uint8_t> pixels(im.size(), flush);
+    std::copy(im.data(), im.data() + im.size(), pixels.data());
+    want = kernels::describe_border_scalar(pattern, pixels.data(), im.width(),
+                                           im.height(), kp);
+    if (rt::cpu_has_avx2()) {
+      EXPECT_EQ(kernels::describe_border_avx2(pattern, pixels.data(),
+                                              im.width(), im.height(), kp)
+                    .bits,
+                want.bits)
+          << im.width() << "x" << im.height() << " at " << kp.pixel.x << ","
+          << kp.pixel.y << " angle " << kp.angle;
+    }
+  }
+  return want;
+}
+
+}  // namespace
+
+TEST(BriefKernels, BorderFormsAgreeAtEveryDistanceOnEveryLevel) {
+  int border = 0;
+  for (const int radius : {15, 8}) {
+    SCOPED_TRACE(radius);
+    const auto pattern = soa_pattern(radius);
+    const auto pairs = brief_pattern(radius);
+    const BriefDescriptorExtractor brief(radius);
+    const int m = brief.interior_margin();
+    std::vector<img::GrayImage> pyr;
+    img::build_blurred_pyramid_into(random_image(640, 480, 61 + radius), 4,
+                                    pyr);
+    ASSERT_EQ(pyr.size(), 4u);
+    const auto angles = test_angles();
+    for (std::size_t level = 0; level < pyr.size(); ++level) {
+      const auto& im = pyr[level];
+      const double w = im.width(), h = im.height();
+      std::vector<geom::Vec2> pixels;
+      for (int d = 0; d <= m; ++d) {
+        for (const double frac : {0.0, 0.375}) {
+          const double e = d + frac, f = w - 1 - e, g = h - 1 - e;
+          for (const geom::Vec2 at : {geom::Vec2{e, h / 2}, {f, h / 2},
+                                      {w / 2, e}, {w / 2, g}, {e, e},
+                                      {f, e}, {e, g}, {f, g}}) {
+            pixels.push_back(at);
+          }
+        }
+      }
+      for (std::size_t i = 0; i < pixels.size(); ++i) {
+        Keypoint kp;
+        kp.pixel = pixels[i];
+        kp.angle = angles[i % angles.size()];
+        const Descriptor want = check_border(pattern, im, kp);
+        ASSERT_EQ(want.bits, clamped_brief(pairs, im, kp).bits)
+            << "level " << level << " at " << kp.pixel.x << ","
+            << kp.pixel.y;
+        ASSERT_EQ(brief.compute(im, kp).bits, want.bits);
+        ++border;
+      }
+    }
+  }
+  EXPECT_GT(border, 1000);
+}
+
+TEST(BriefKernels, BorderFormsAgreeOnTinyAndNarrowImages) {
+  // Every sample of a tiny image is clamped, many onto the first or the
+  // last pixel; 4 bytes is the smallest image the AVX2 form takes, and
+  // compute() keeps smaller ones scalar.
+  const auto pattern = soa_pattern(15);
+  const auto pairs = brief_pattern(15);
+  const BriefDescriptorExtractor brief(15);
+  const int sizes[][2] = {{1, 1}, {2, 1}, {1, 3}, {2, 2}, {4, 1}, {1, 4},
+                          {3, 2}, {5, 1}, {1, 7}, {3, 3}, {7, 2}, {40, 3}};
+  for (const auto& size : sizes) {
+    const int w = size[0], h = size[1];
+    const auto im = random_image(w, h, 70 + 10 * w + h);
+    for (const geom::Vec2 at :
+         {geom::Vec2{0, 0}, {w - 1.0, h - 1.0}, {w / 2.0, h / 2.0},
+          {-0.5, h - 0.75}, {w - 0.25, -0.5}}) {
+      for (const float angle : test_angles()) {
+        Keypoint kp;
+        kp.pixel = at;
+        kp.angle = angle;
+        const Descriptor want = clamped_brief(pairs, im, kp);
+        ASSERT_EQ(brief.compute(im, kp).bits, want.bits)
+            << w << "x" << h << " at " << at.x << "," << at.y;
+        if (im.size() < 4) continue;
+        ASSERT_EQ(check_border(pattern, im, kp).bits, want.bits)
+            << w << "x" << h << " at " << at.x << "," << at.y;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Arena scratch allocator.
 

@@ -44,6 +44,142 @@ TEST(Mesh, AppendOffsetsIndices) {
   }
 }
 
+// The mesh builders as they were before they reserved their sizes and
+// shared each cylinder edge's cos and sin: the meshes must not move by a
+// bit.
+namespace reference_mesh {
+
+void add_quad(Mesh& m, const geom::Vec3& p0, const geom::Vec3& p1,
+              const geom::Vec3& p2, const geom::Vec3& p3) {
+  const auto base = static_cast<std::uint32_t>(m.vertices.size());
+  m.vertices.push_back(p0);
+  m.vertices.push_back(p1);
+  m.vertices.push_back(p2);
+  m.vertices.push_back(p3);
+  m.triangles.push_back({base, base + 1, base + 2});
+  m.triangles.push_back({base, base + 2, base + 3});
+}
+
+void append(Mesh& m, const Mesh& other) {
+  const auto base = static_cast<std::uint32_t>(m.vertices.size());
+  m.vertices.insert(m.vertices.end(), other.vertices.begin(),
+                    other.vertices.end());
+  for (const auto& t : other.triangles) {
+    m.triangles.push_back({t.a + base, t.b + base, t.c + base});
+  }
+}
+
+Mesh make_box(double sx, double sy, double sz) {
+  const double x = sx / 2, y = sy / 2, z = sz / 2;
+  Mesh m;
+  add_quad(m, {-x, -y, z}, {x, -y, z}, {x, y, z}, {-x, y, z});
+  add_quad(m, {x, -y, -z}, {-x, -y, -z}, {-x, y, -z}, {x, y, -z});
+  add_quad(m, {x, -y, z}, {x, -y, -z}, {x, y, -z}, {x, y, z});
+  add_quad(m, {-x, -y, -z}, {-x, -y, z}, {-x, y, z}, {-x, y, -z});
+  add_quad(m, {-x, y, z}, {x, y, z}, {x, y, -z}, {-x, y, -z});
+  add_quad(m, {-x, -y, -z}, {x, -y, -z}, {x, -y, z}, {-x, -y, z});
+  return m;
+}
+
+Mesh make_cylinder(double radius, double height, int segments) {
+  Mesh m;
+  const double h = height / 2;
+  for (int i = 0; i < segments; ++i) {
+    const double a0 = 2.0 * M_PI * i / segments;
+    const double a1 = 2.0 * M_PI * (i + 1) / segments;
+    const geom::Vec3 b0{radius * std::cos(a0), -h, radius * std::sin(a0)};
+    const geom::Vec3 b1{radius * std::cos(a1), -h, radius * std::sin(a1)};
+    const geom::Vec3 t0{b0.x, h, b0.z};
+    const geom::Vec3 t1{b1.x, h, b1.z};
+    add_quad(m, b0, b1, t1, t0);
+    const auto base = static_cast<std::uint32_t>(m.vertices.size());
+    m.vertices.push_back({0, h, 0});
+    m.vertices.push_back(t0);
+    m.vertices.push_back(t1);
+    m.triangles.push_back({base, base + 1, base + 2});
+    const auto base2 = static_cast<std::uint32_t>(m.vertices.size());
+    m.vertices.push_back({0, -h, 0});
+    m.vertices.push_back(b1);
+    m.vertices.push_back(b0);
+    m.triangles.push_back({base2, base2 + 1, base2 + 2});
+  }
+  return m;
+}
+
+Mesh make_car() {
+  Mesh body = make_box(1.8, 0.55, 0.9);
+  for (auto& v : body.vertices) v.y += 0.45;
+  Mesh cabin = make_box(0.95, 0.42, 0.82);
+  for (auto& v : cabin.vertices) {
+    v.x -= 0.15;
+    v.y += 0.93;
+  }
+  append(body, cabin);
+  return body;
+}
+
+Mesh make_separator() {
+  Mesh m = make_cylinder(0.5, 2.2, 10);
+  for (auto& v : m.vertices) v = {v.y, -v.x, v.z};
+  for (auto& v : m.vertices) v.y += 0.9;
+  Mesh l1 = make_box(0.18, 0.9, 0.18);
+  for (auto& v : l1.vertices) {
+    v.x -= 0.7;
+    v.y += 0.45;
+  }
+  Mesh l2 = make_box(0.18, 0.9, 0.18);
+  for (auto& v : l2.vertices) {
+    v.x += 0.7;
+    v.y += 0.45;
+  }
+  append(m, l1);
+  append(m, l2);
+  return m;
+}
+
+}  // namespace reference_mesh
+
+namespace {
+
+// Bitwise; memcmp of an empty vector's null data() is undefined.
+template <typename T>
+bool same_elements(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_mesh(const Mesh& a, const Mesh& b) {
+  return same_elements(a.vertices, b.vertices) &&
+         same_elements(a.triangles, b.triangles);
+}
+
+}  // namespace
+
+TEST(Mesh, BuildersMatchTheirPreviousFormBitwise) {
+  for (const auto& size : {std::array<double, 3>{1, 1, 1},
+                           {0.9, 0.9, 0.9},
+                           {0.8, 1.7, 0.5},
+                           {0.18, 0.9, 0.18},
+                           {1e-3, 7.25, 1e6}}) {
+    EXPECT_TRUE(same_mesh(make_box(size[0], size[1], size[2]),
+                          reference_mesh::make_box(size[0], size[1], size[2])));
+  }
+  for (int segments = 0; segments <= 40; ++segments) {
+    for (const auto& rh : {std::array<double, 2>{0.28, 1.7},
+                           {0.22, 2.4},
+                           {0.5, 2.2},
+                           {3.3, 0.01}}) {
+      ASSERT_TRUE(
+          same_mesh(make_cylinder(rh[0], rh[1], segments),
+                    reference_mesh::make_cylinder(rh[0], rh[1], segments)))
+          << segments << " segments";
+    }
+  }
+  EXPECT_TRUE(same_mesh(make_car(), reference_mesh::make_car()));
+  EXPECT_TRUE(same_mesh(make_separator(), reference_mesh::make_separator()));
+}
+
 TEST(MotionScript, StaticBeforeStartTime) {
   MotionScript m;
   m.base_position = {1, 0, 2};
@@ -1187,4 +1323,334 @@ TEST(NoiseKernels, ScalarAndAvx2AgreeOnEveryTailLength) {
   }
   EXPECT_GT(low, 100);
   EXPECT_GT(high, 100);
+}
+
+// ---------------------------------------------------------------------------
+// The texture step of the AVX2 row kernel (kernels::texture4_*): four
+// lanes' bytes against four fresh scalar lookups.
+
+namespace {
+
+// One group of four object-space points.
+struct Group4 {
+  double x[4], y[4], z[4];
+};
+
+Group4 group_of(const geom::Vec3& a, const geom::Vec3& b, const geom::Vec3& c,
+                const geom::Vec3& d) {
+  Group4 g{};
+  const geom::Vec3* p[4] = {&a, &b, &c, &d};
+  for (int k = 0; k < 4; ++k) {
+    g.x[k] = p[k]->x;
+    g.y[k] = p[k]->y;
+    g.z[k] = p[k]->z;
+  }
+  return g;
+}
+
+// texture4_avx2 with `texture` against texture4_scalar, and the scalar form
+// against the reference lookup, for write mask `write`.
+void expect_texture4(const Group4& g, unsigned write, TextureSampler& texture,
+                     const char* what) {
+  const std::uint32_t want =
+      kernels::texture4_scalar(g.x, g.y, g.z, write, texture);
+  for (int k = 0; k < 4; ++k) {
+    const std::uint32_t byte = (want >> (8 * k)) & 0xffu;
+    const std::uint32_t ref =
+        (write >> k & 1u) != 0
+            ? reference::texture_value({g.x[k], g.y[k], g.z[k]},
+                                       texture.seed(), texture.scale())
+            : 0u;
+    ASSERT_EQ(byte, ref) << what << " lane " << k;
+  }
+  ASSERT_EQ(kernels::texture4_avx2(g.x, g.y, g.z, write, texture), want)
+      << what << " write " << write;
+}
+
+bool memo_is_fresh(TextureSampler& texture) {
+  const auto& cell = texture.group_memo().cell;
+  return std::all_of(cell, cell + 6, [](double c) { return std::isnan(c); });
+}
+
+}  // namespace
+
+TEST(TextureKernels, Hash3LanesMatchScalarHashBitwise) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> cells = {0,          -1,          1,
+                                     2147483647, -2147483648, 2147483648,
+                                     kMin,       kMax,        -7};
+  rt::Rng rng(71);
+  for (int i = 0; i < 400; ++i) {
+    cells.push_back(static_cast<std::int64_t>(rng()) >> rng.uniform_int(64));
+  }
+  int checked = 0;
+  for (std::size_t i = 0; i + 3 < cells.size(); i += 2) {
+    std::int64_t x[4], y[4], z[4];
+    for (int k = 0; k < 4; ++k) {
+      x[k] = cells[i + static_cast<std::size_t>(k)];
+      y[k] = cells[(i * 7 + static_cast<std::size_t>(k)) % cells.size()];
+      z[k] = cells[(i * 13 + 3 * static_cast<std::size_t>(k)) % cells.size()];
+    }
+    for (const std::uint64_t seed : {0x7e57ULL, 0x7e57ULL ^ 0xf1e5ULL, ~0ULL}) {
+      double got[4];
+      kernels::hash3_avx2(x, y, z, seed, got);
+      for (int k = 0; k < 4; ++k) {
+        const double want = hash3(x[k], y[k], z[k], seed);
+        ASSERT_EQ(std::memcmp(&got[k], &want, sizeof want), 0)
+            << x[k] << "," << y[k] << "," << z[k] << " seed " << seed;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 2000);
+}
+
+TEST(TextureKernels, LatticeNeighboursAndNegativeCellsUnderEveryWriteMask) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  // Positions on, and one ulp either side of, integers of both lattices,
+  // on both sides of zero; each group mixes them across lanes.
+  for (const double scale : {3.0, 7.0, 5.0}) {
+    std::vector<double> coords;
+    for (int k = -12; k <= 12; ++k) {
+      for (const double v : {k / scale, k / scale / 3.1}) {
+        coords.push_back(std::nextafter(v, -1e9));
+        coords.push_back(v);
+        coords.push_back(std::nextafter(v, 1e9));
+      }
+    }
+    coords.push_back(-0.0);
+    TextureSampler texture(0x7e57, scale);
+    const std::size_t n = coords.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto at = [&](std::size_t j) { return coords[j % n]; };
+      const Group4 g = group_of({at(i), at(i + 1), -at(i + 2)},
+                                {at(i + 3), -at(i), at(i + 5)},
+                                {-at(i + 7), at(i + 11), at(i)},
+                                {at(i + 13), at(i + 2), -at(i + 17)});
+      for (unsigned write = 0; write < 16; ++write) {
+        expect_texture4(g, write, texture, "lattice");
+      }
+    }
+  }
+}
+
+TEST(TextureKernels, FloorsPastTwoToThe31TakeTheFallback) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const double scale = 4.0;  // a power of two: obj·scale is exact
+  // The smallest s whose fine floor (s·3.1) reaches `target`.
+  const auto fine_floor_at = [](double target) {
+    double s = target / 3.1;
+    while (std::floor(s * 3.1) >= target) s = std::nextafter(s, -1e300);
+    while (std::floor(s * 3.1) < target) s = std::nextafter(s, 1e300);
+    return s;
+  };
+  struct Case {
+    double s;       // obj·scale on the x axis
+    bool fallback;  // some floor lies outside [−2^31, 2^31)
+  };
+  const auto below = [](double s) { return std::nextafter(s, -1e300); };
+  const double fine_hi = fine_floor_at(0x1p31);
+  const double fine_lo = fine_floor_at(-0x1p31);
+  ASSERT_EQ(std::floor(fine_hi * 3.1), 0x1p31);
+  ASSERT_EQ(std::floor(below(fine_hi) * 3.1), 0x1p31 - 1);
+  ASSERT_EQ(std::floor(fine_lo * 3.1), -0x1p31);
+  ASSERT_EQ(std::floor(below(fine_lo) * 3.1), -0x1p31 - 1);
+  const Case cases[] = {
+      {fine_hi, true},          // fine floor 2^31
+      {below(fine_hi), false},  // fine floor 2^31 − 1
+      {fine_lo, false},         // fine floor −2^31
+      {below(fine_lo), true},   // fine floor −2^31 − 1
+      {0x1p31, true},           // both floors past 2^31
+      {-0x1p31 - 1.0, true},
+      {3.5e9, true},
+      {-3.5e18, true},
+      {0x1p63, true},
+  };
+  for (const Case& c : cases) {
+    for (unsigned write = 1; write < 16; ++write) {
+      for (int lane = 0; lane < 4; ++lane) {
+        if ((write >> lane & 1u) == 0) continue;
+        for (int axis = 0; axis < 3; ++axis) {
+          // The far point in one writing lane, ordinary points elsewhere.
+          Group4 g = group_of({0.1, 0.2, 0.3}, {-0.4, 0.5, 0.6},
+                              {0.7, -0.8, 0.9}, {1.1, 1.2, -1.3});
+          double* far[3] = {&g.x[lane], &g.y[lane], &g.z[lane]};
+          *far[axis] = c.s / scale;
+          TextureSampler texture(0x5eed, scale);
+          expect_texture4(g, write, texture, "far cell");
+          EXPECT_EQ(memo_is_fresh(texture), c.fallback)
+              << "s " << c.s << " write " << write << " lane " << lane
+              << " axis " << axis;
+        }
+      }
+    }
+    // The far point only in a lane that does not write: no fallback.
+    Group4 g = group_of({c.s / scale, 0, 0}, {0.5, 0.5, 0.5},
+                        {0.25, 0.5, 0.5}, {0.5, 0.25, 0.5});
+    TextureSampler texture(0x5eed, scale);
+    expect_texture4(g, 0b1110u, texture, "far cell not written");
+    EXPECT_FALSE(memo_is_fresh(texture));
+  }
+}
+
+TEST(TextureKernels, NanAndInfinitePointsMatchTheScalarRule) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, -nan, inf, -inf}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      for (unsigned write = 1; write < 16; ++write) {
+        Group4 g = group_of({0.1, 0.2, 0.3}, {-0.4, 0.5, 0.6},
+                            {0.7, -0.8, 0.9}, {1.1, 1.2, -1.3});
+        double* lane0[3] = {&g.x[0], &g.y[0], &g.z[0]};
+        *lane0[axis] = bad;
+        TextureSampler texture(0xbad, 3.0);
+        expect_texture4(g, write, texture, "nan/inf");
+        EXPECT_EQ(memo_is_fresh(texture), (write & 1u) != 0);
+      }
+    }
+  }
+}
+
+TEST(TextureKernels, MemoHitsAcrossRowsAndCellChanges) {
+  if (!rt::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  const double scale = 3.0;
+  const std::uint64_t seed = 0x7e57;
+  // Two points in one coarse cell but different fine cells, with
+  // different bytes: a memo that compares only the coarse cell would
+  // return the first point's byte for the second.
+  geom::Vec3 p{0.05, 0.05, 0.05}, q = p;
+  while (true) {
+    q.x += 0.001;
+    ASSERT_LT(q.x, 1.0 / scale);  // still in coarse cell 0
+    if (std::floor(q.x * scale * 3.1) != std::floor(p.x * scale * 3.1) &&
+        reference::texture_value(q, seed, scale) !=
+            reference::texture_value(p, seed, scale)) {
+      break;
+    }
+  }
+  {
+    TextureSampler texture(seed, scale);
+    const Group4 gp = group_of(p, p, p, p), gq = group_of(q, q, q, q);
+    expect_texture4(gp, 0xf, texture, "p");
+    expect_texture4(gp, 0x6, texture, "p again (a memo hit)");
+    expect_texture4(gq, 0xf, texture, "q, same coarse cell");
+    expect_texture4(gp, 0x1, texture, "back to p");
+  }
+  // Rows of groups as the rasterizer walks them, one sampler for all rows:
+  // each row starts where the one before started, so its first group lies
+  // in cells hashed a row earlier, and cells change within groups.
+  rt::Rng rng(72);
+  TextureSampler texture(seed, scale);
+  for (int row = 0; row < 400; ++row) {
+    const double y = -1.0 + row * 0.004;
+    const double step = rng.uniform(0.0005, 0.03);
+    for (int group = 0; group < 24; ++group) {
+      Group4 g{};
+      for (int k = 0; k < 4; ++k) {
+        g.x[k] = -0.7 + (4 * group + k) * step;
+        g.y[k] = y;
+        g.z[k] = 0.3 - 0.001 * (4 * group + k);
+      }
+      const auto write = static_cast<unsigned>(rng.uniform_int(16));
+      expect_texture4(g, write, texture, "rows");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The branch-free Marsaglia draws (kernels::draw_polar) against the
+// rejection loop of rt::Rng::polar_draw.
+
+namespace {
+
+// Replays scripted [0, 1) values through rt::Rng::uniform's lo + (hi −
+// lo)·u; past the script it continues from an rt::Rng.
+class ScriptedUniform {
+ public:
+  ScriptedUniform(std::vector<double> script, std::uint64_t seed)
+      : script_(std::move(script)), rng_(seed) {}
+
+  double uniform(double lo, double hi) {
+    const double u = next_ < script_.size() ? script_[next_] : rng_.uniform();
+    ++next_;
+    return lo + (hi - lo) * u;
+  }
+  [[nodiscard]] std::size_t used() const { return next_; }
+
+ private:
+  std::vector<double> script_;
+  std::size_t next_ = 0;
+  rt::Rng rng_;
+};
+
+// polar_draw's loop, on any generator.
+template <typename Generator>
+rt::Rng::PolarDraw polar_draw(Generator& g) {
+  double u, v, s;
+  do {
+    u = g.uniform(-1.0, 1.0);
+    v = g.uniform(-1.0, 1.0);
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  return {u, v, s};
+}
+
+bool same_double(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+}  // namespace
+
+TEST(NoiseKernels, DrawsRejectExactZeroAndExactOne) {
+  // uniform 0.5 gives exactly 0 and uniform 0 exactly −1, so the script
+  // makes s == 0 (0, 0), s == 1 (−1, 0) and (0, −1): rejections before
+  // every other pair and before the last one.
+  const std::vector<double> zero = {0.5, 0.5};
+  const std::vector<double> one_u = {0.0, 0.5};
+  const std::vector<double> one_v = {0.5, 0.0};
+  const std::vector<double>* rejects[] = {&zero, &one_u, &one_v};
+  for (const std::size_t pairs : {1, 2, 3, 5, 7, 255, 256}) {
+    std::vector<double> script;
+    std::size_t rejected = 0;
+    for (std::size_t k = 0; k < pairs; ++k) {
+      if (k % 2 == 0 || k + 1 == pairs) {
+        const auto* r = rejects[k % 3];
+        script.insert(script.end(), r->begin(), r->end());
+        ++rejected;
+      }
+      script.insert(script.end(), {0.75, 0.25 + 0.001 * k});
+    }
+    ScriptedUniform a(script, 73), b(script, 73);
+    kernels::NoiseBlock block{};
+    kernels::draw_polar(a, block, pairs);
+    for (std::size_t k = 0; k < pairs; ++k) {
+      const rt::Rng::PolarDraw d = polar_draw(b);
+      ASSERT_TRUE(same_double(block.u[k], d.u) &&
+                  same_double(block.v[k], d.v) &&
+                  same_double(block.s[k], d.s))
+          << pairs << " pairs, pair " << k;
+      ASSERT_TRUE(d.s > 0.0 && d.s < 1.0);
+    }
+    EXPECT_EQ(a.used(), 2 * (pairs + rejected)) << pairs << " pairs";
+    EXPECT_EQ(b.used(), a.used()) << pairs << " pairs";
+  }
+}
+
+TEST(NoiseKernels, DrawsLeaveTheGeneratorWherePolarDrawDoes) {
+  for (const std::size_t pairs : {1, 2, 3, 17, 128, 255, 256}) {
+    rt::Rng a(1000 + pairs), b(1000 + pairs);
+    kernels::NoiseBlock block{};
+    kernels::draw_polar(a, block, pairs);
+    for (std::size_t k = 0; k < pairs; ++k) {
+      const rt::Rng::PolarDraw d = b.polar_draw();
+      ASSERT_TRUE(same_double(block.u[k], d.u) &&
+                  same_double(block.v[k], d.v) &&
+                  same_double(block.s[k], d.s))
+          << pairs << " pairs, pair " << k;
+    }
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(a(), b()) << pairs << " pairs";
+  }
 }
