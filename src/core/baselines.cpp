@@ -199,36 +199,23 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
   if (!pending_.empty()) want_tx = false;  // client drops while busy
 
   if (want_tx) {
-    enc::EncodedFrame encoded;
     std::vector<mask::Box> boxes;
     for (const auto& m : cached_masks_) {
       if (auto b = m.bounding_box()) {
         boxes.push_back(b->inflated(24, cam.width, cam.height));
       }
     }
-    switch (policy_) {
-      case TrackDetectPolicy::kBestEffort:
-        encoded = enc::encode_uniform(frame.index, cam.width, cam.height,
-                                      enc::CompressionLevel::kHigh);
-        break;
-      case TrackDetectPolicy::kEaar:
-        if (boxes.empty()) {
-          encoded = enc::encode_uniform(frame.index, cam.width, cam.height,
-                                        enc::CompressionLevel::kHigh);
-        } else {
-          encoded = enc::encode_eaar(frame.index, cam.width, cam.height,
+    enc::EncodedFrame encoded;
+    if (policy_ == TrackDetectPolicy::kBestEffort || boxes.empty()) {
+      // Best effort, and the others until they track something, send the
+      // whole frame at one level.
+      encoded = enc::encode_uniform(frame.index, cam.width, cam.height,
+                                    enc::CompressionLevel::kHigh);
+    } else if (policy_ == TrackDetectPolicy::kEaar) {
+      encoded = enc::encode_eaar(frame.index, cam.width, cam.height, boxes);
+    } else {
+      encoded = enc::encode_edgeduet(frame.index, cam.width, cam.height,
                                      boxes);
-        }
-        break;
-      case TrackDetectPolicy::kEdgeDuet:
-        if (boxes.empty()) {
-          encoded = enc::encode_uniform(frame.index, cam.width, cam.height,
-                                        enc::CompressionLevel::kHigh);
-        } else {
-          encoded = enc::encode_edgeduet(frame.index, cam.width, cam.height,
-                                         boxes);
-        }
-        break;
     }
 
     segnet::InferenceRequest req;
@@ -237,7 +224,7 @@ FrameOutput TrackDetectPipeline::process(const scene::RenderedFrame& frame) {
     req.oracle = build_oracle(frame, instance_class_);
     req.content_quality = encoded.content_quality;
     // No CIIA: these systems run the unmodified model.
-    edge_.submit_streamed(frame.index, now_ms, encoded.total_bytes, req);
+    edge_.submit(frame.index, now_ms, encoded.total_bytes, req);
     auto responses = edge_.poll(1e18);
     for (auto& r : responses) {
       const double down_ms =

@@ -7,100 +7,79 @@
 
 namespace edgeis::core {
 
-void EdgeServer::submit_streamed(int frame_index, double sent_ms,
-                                 std::size_t bytes,
-                                 const segnet::InferenceRequest& request,
-                                 int attempt) {
+EdgeServer::Arrivals EdgeServer::uplink(int request_id, double sent_ms,
+                                         std::size_t bytes, int attempt,
+                                         bool is_resend) {
   const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
   net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, bytes, out.fate, frame_index,
+                      out.slot.transit_ms, bytes, out.fate, request_id,
                       attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms);
-  if (out.fate.drop) return;
-  enqueue_gpu(frame_index, out.deliver_ms, request, attempt);
-  if (out.fate.duplicate) {
-    enqueue_gpu(frame_index, out.duplicate_deliver_ms, request, attempt);
-  }
+                      out.slot.queue_wait_ms, /*chunk_index=*/-1,
+                      /*chunk_count=*/0, is_resend);
+  Arrivals a;
+  if (out.fate.drop) return a;
+  a.copies = out.fate.duplicate ? 2 : 1;
+  a.at_ms[0] = out.deliver_ms;
+  a.at_ms[1] = out.duplicate_deliver_ms;
+  return a;
 }
 
-void EdgeServer::submit_canvas_full(int frame_index, double sent_ms,
-                                    std::size_t bytes,
-                                    const segnet::InferenceRequest& request,
-                                    int attempt,
-                                    const enc::EncodedFrame& encoded,
-                                    std::uint32_t epoch) {
-  const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, bytes, out.fate, frame_index,
-                      attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms);
-  if (out.fate.drop) return;
-  const int copies = out.fate.duplicate ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
-    const double at = copy == 0 ? out.deliver_ms : out.duplicate_deliver_ms;
-    // A full keyframe unconditionally (re)seeds the canvas — re-applying
-    // a duplicated copy at the same epoch is idempotent.
-    canvas_.apply_full(encoded, epoch);
-    enqueue_gpu(frame_index, at, request, attempt);
-  }
-}
-
-void EdgeServer::submit_canvas_delta(int frame_index, double sent_ms,
-                                     std::size_t bytes,
-                                     const segnet::InferenceRequest& request,
-                                     int attempt,
-                                     const enc::CanvasDelta& delta) {
-  const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, bytes, out.fate, frame_index,
-                      attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms);
-  if (out.fate.drop) return;
-  const int copies = out.fate.duplicate ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
-    const double at = copy == 0 ? out.deliver_ms : out.duplicate_deliver_ms;
-    const auto applied = canvas_.apply_delta(delta);
-    if (applied.status == enc::CanvasApplyStatus::kApplied ||
-        applied.status == enc::CanvasApplyStatus::kDuplicate) {
-      // Reconstruction succeeded: unsent tiles came from the warped
-      // canvas, so the model sees the canvas's post-apply content
-      // quality, not the quality of the sent tiles alone.
-      if (tracer_ != nullptr) {
-        tracer_->instant(rt::track::kEdge, "canvas_hit", at,
-                         {{"frame", frame_index},
-                          {"sent", applied.tiles_sent},
-                          {"reused", applied.tiles_reused},
-                          {"quality", applied.content_quality},
-                          {"session", session_id_}});
+void EdgeServer::submit(int frame_index, double sent_ms, std::size_t bytes,
+                        const segnet::InferenceRequest& request, int attempt,
+                        const Upload& upload) {
+  const Arrivals arrivals = uplink(frame_index, sent_ms, bytes, attempt);
+  for (int copy = 0; copy < arrivals.copies; ++copy) {
+    const double at = arrivals.at_ms[copy];
+    if (const auto* full = std::get_if<CanvasFull>(&upload)) {
+      // A full keyframe unconditionally (re)seeds the canvas — re-applying
+      // a duplicated copy at the same epoch is idempotent.
+      canvas_.apply_full(full->encoded, full->epoch);
+    } else if (const auto* delta = std::get_if<enc::CanvasDelta>(&upload)) {
+      const auto applied = canvas_.apply_delta(*delta);
+      if (applied.status == enc::CanvasApplyStatus::kApplied ||
+          applied.status == enc::CanvasApplyStatus::kDuplicate) {
+        // Reconstruction succeeded: unsent tiles came from the warped
+        // canvas, so the model sees the canvas's post-apply content
+        // quality, not the quality of the sent tiles alone.
+        if (tracer_ != nullptr) {
+          tracer_->instant(rt::track::kEdge, "canvas_hit", at,
+                           {{"frame", frame_index},
+                            {"sent", applied.tiles_sent},
+                            {"reused", applied.tiles_reused},
+                            {"quality", applied.content_quality},
+                            {"session", session_id_}});
+        }
+        segnet::InferenceRequest reconstructed = request;
+        reconstructed.content_quality = applied.content_quality;
+        enqueue_gpu(frame_index, at, reconstructed, attempt);
+        continue;
       }
-      segnet::InferenceRequest reconstructed = request;
-      reconstructed.content_quality = applied.content_quality;
-      enqueue_gpu(frame_index, at, reconstructed, attempt);
+      // Cold canvas or epoch mismatch: the edge cannot faithfully
+      // reconstruct the frame, and segmenting a divergent canvas would
+      // silently return masks for stale pixels. Refuse with a tiny resync
+      // response — no inference, no RNG — and let the mobile side fall
+      // back to a full keyframe.
+      if (tracer_ != nullptr) {
+        tracer_->instant(
+            rt::track::kEdge, "canvas_resync", at,
+            {{"frame", frame_index},
+             {"attempt", attempt},
+             {"base_epoch", static_cast<int>(delta->base_epoch)},
+             {"canvas_epoch", static_cast<int>(canvas_.epoch())},
+             {"cold", applied.status == enc::CanvasApplyStatus::kCold},
+             {"session", session_id_}});
+      }
+      Response r;
+      r.frame_index = frame_index;
+      r.attempt = attempt;
+      r.canvas_resync = true;
+      // Epoch check + tiny refusal frame: no inference queue involved.
+      r.ready_ms = at + 0.3;
+      r.payload_bytes = 32;
+      completed_.push_back(std::move(r));
       continue;
     }
-    // Cold canvas or epoch mismatch: the edge cannot faithfully
-    // reconstruct the frame, and segmenting a divergent canvas would
-    // silently return masks for stale pixels. Refuse with a tiny resync
-    // response — no inference, no RNG — and let the mobile side fall
-    // back to a full keyframe.
-    if (tracer_ != nullptr) {
-      tracer_->instant(
-          rt::track::kEdge, "canvas_resync", at,
-          {{"frame", frame_index},
-           {"attempt", attempt},
-           {"base_epoch", static_cast<int>(delta.base_epoch)},
-           {"canvas_epoch", static_cast<int>(canvas_.epoch())},
-           {"cold", applied.status == enc::CanvasApplyStatus::kCold},
-           {"session", session_id_}});
-    }
-    Response r;
-    r.frame_index = frame_index;
-    r.attempt = attempt;
-    r.canvas_resync = true;
-    // Epoch check + tiny refusal frame: no inference queue involved.
-    r.ready_ms = at + 0.3;
-    r.payload_bytes = 32;
-    completed_.push_back(std::move(r));
+    enqueue_gpu(frame_index, at, request, attempt);
   }
 }
 
@@ -156,22 +135,16 @@ bool EdgeServer::submit_resend(int frame_index, double sent_ms,
   const auto cached = result_cache_.find(frame_index);
   if (cached == result_cache_.end()) return false;
 
-  const auto out = uplink_queue_.enqueue(sent_ms, bytes, uplink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, bytes, out.fate, frame_index,
-                      attempt, out.duplicate_transit_ms,
-                      out.slot.queue_wait_ms, /*chunk_index=*/-1,
-                      /*chunk_count=*/0, /*is_resend=*/true);
-  if (out.fate.drop) return true;  // the request died; ledger retries
-
-  // A duplicated resend request re-emits the chunks twice — the second
-  // stream exercises the receiver's duplicate-chunk idempotence exactly
-  // like a duplicated downlink would.
-  const int copies = out.fate.duplicate ? 2 : 1;
+  const Arrivals arrivals =
+      uplink(frame_index, sent_ms, bytes, attempt, /*is_resend=*/true);
+  // A dropped request died on the link (the ledger retries). A duplicated
+  // resend request re-emits the chunks twice — the second stream
+  // exercises the receiver's duplicate-chunk idempotence exactly like a
+  // duplicated downlink would.
+  if (arrivals.copies == 0) return true;
   bool emitted = false;
-  for (int copy = 0; copy < copies; ++copy) {
-    const double arrive =
-        copy == 0 ? out.deliver_ms : out.duplicate_deliver_ms;
+  for (int copy = 0; copy < arrivals.copies; ++copy) {
+    const double arrive = arrivals.at_ms[copy];
     if (tracer_ != nullptr) {
       tracer_->instant(rt::track::kEdge, "resend", arrive,
                        {{"frame", frame_index},
@@ -366,6 +339,10 @@ void EdgeGpu::advance_to(double now_ms) {
     // Fused pass: full first stage for the lead element, marginal cost
     // for each rider, then the mask heads run back-to-back in batch
     // order. Each element's chunks stream out of its own mask window.
+    // First-stage (backbone + RPN + box head) cost of batch elements after
+    // the lead one, as a fraction of their standalone cost: the fused pass
+    // amortizes weight loads and activation memory across the batch.
+    constexpr double kBatchFirstStageMarginal = 0.55;
     double fs_end = start;
     std::vector<double> mask_ms(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -374,7 +351,7 @@ void EdgeGpu::advance_to(double now_ms) {
           sessions_[sid].server->device_.model_compute_scale;
       const auto& st = item.result.stats;
       const double fs = (st.backbone_ms + st.rpn_ms + st.head_ms) * scale;
-      fs_end += i == 0 ? fs : fs * config_.batch_first_stage_marginal;
+      fs_end += i == 0 ? fs : fs * kBatchFirstStageMarginal;
       mask_ms[i] = st.mask_head_ms * scale;
     }
     double batch_end = fs_end;
@@ -402,11 +379,9 @@ void EdgeGpu::advance_to(double now_ms) {
 }
 
 void EdgeServer::submit_ping(int ping_id, double sent_ms) {
-  const auto out = uplink_queue_.enqueue(sent_ms, 64, uplink_faults_);
-  net::trace_transfer(tracer_, /*uplink=*/true, out.slot.enter_ms,
-                      out.slot.transit_ms, 64, out.fate, ping_id, 0,
-                      out.duplicate_transit_ms, out.slot.queue_wait_ms);
-  if (out.fate.drop) return;
+  // A duplicated probe is echoed once.
+  const Arrivals arrivals = uplink(ping_id, sent_ms, 64, /*attempt=*/0);
+  if (arrivals.copies == 0) return;
   Response r;
   r.frame_index = ping_id;
   r.is_ping = true;
@@ -416,7 +391,7 @@ void EdgeServer::submit_ping(int ping_id, double sent_ms) {
   // rather than thrashing the gate.
   r.rejected = gpu_->saturated();
   // Echoed from the network stack: no inference queue involved.
-  r.ready_ms = out.deliver_ms + 0.2;
+  r.ready_ms = arrivals.at_ms[0] + 0.2;
   if (tracer_ != nullptr) {
     tracer_->instant(rt::track::kEdge, "ping_echo", r.ready_ms,
                      {{"request", ping_id}});

@@ -24,6 +24,7 @@
 #include <deque>
 #include <map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "encoding/canvas.hpp"
@@ -49,10 +50,6 @@ struct GpuConfig {
   int admission_queue_limit = 0;
   /// Largest number of requests fused into one batched CIIA model pass.
   int max_batch = 8;
-  /// First-stage (backbone + RPN + box head) cost of batch elements after
-  /// the lead one, as a fraction of their standalone cost: the fused pass
-  /// amortizes weight loads and activation memory across the batch.
-  double batch_first_stage_marginal = 0.55;
 };
 
 struct GpuStats {
@@ -89,9 +86,7 @@ class EdgeGpu {
            queued_ >= config_.admission_queue_limit;
   }
   [[nodiscard]] int queued() const { return queued_; }
-  [[nodiscard]] double free_at_ms() const { return free_at_ms_; }
   [[nodiscard]] const GpuStats& stats() const { return stats_; }
-  [[nodiscard]] const GpuConfig& config() const { return config_; }
 
  private:
   friend class EdgeServer;
@@ -170,38 +165,29 @@ class EdgeServer {
     bool canvas_resync = false;
   };
 
-  /// Submit a request: it enters the uplink send queue at `sent_ms`
-  /// (head-of-line wait + per-message transit computed by the queue; a
-  /// request lost on the uplink never reaches the server), is queued on
-  /// the GPU, and comes back as one chunk per instance, each ready as its
-  /// mask leaves the mask head. The model is evaluated at admission, so
-  /// the RNG stream sees requests in submission order. The completed
-  /// result is cached for `submit_resend`.
-  void submit_streamed(int frame_index, double sent_ms, std::size_t bytes,
-                       const segnet::InferenceRequest& request,
-                       int attempt = 0);
+  /// A full keyframe that (re)seeds this session's canvas at `epoch`.
+  struct CanvasFull {
+    enc::EncodedFrame encoded;
+    std::uint32_t epoch = 0;
+  };
+  /// What a keyframe upload does to this session's canvas: nothing (a
+  /// plain streamed keyframe), seed it (CanvasFull), or apply a delta.
+  using Upload = std::variant<std::monostate, CanvasFull, enc::CanvasDelta>;
 
-  /// Full-keyframe submission that also (re)seeds this session's canvas:
-  /// every delivered copy installs `encoded`'s tile grid at `epoch`
-  /// before inference proceeds exactly as in `submit_streamed`.
-  void submit_canvas_full(int frame_index, double sent_ms, std::size_t bytes,
-                          const segnet::InferenceRequest& request, int attempt,
-                          const enc::EncodedFrame& encoded,
-                          std::uint32_t epoch);
+  /// Upload a keyframe: it enters the uplink send queue at `sent_ms` (an
+  /// upload lost on the uplink never reaches the server), is queued on the
+  /// GPU, and comes back as one chunk per instance, each ready as its mask
+  /// leaves the mask head. The model is evaluated at admission, so the RNG
+  /// stream sees requests in submission order; the result is cached for
+  /// `submit_resend`. Every delivered copy first applies `upload` to the
+  /// canvas: a CanvasFull re-seeds it, a delta makes the edge reconstruct
+  /// the frame from its canvas and take the content quality from the
+  /// post-apply state. An epoch mismatch or cold canvas gets a small
+  /// `canvas_resync` response instead of inference.
+  void submit(int frame_index, double sent_ms, std::size_t bytes,
+              const segnet::InferenceRequest& request, int attempt = 0,
+              const Upload& upload = {});
 
-  /// Delta submission: the edge reconstructs the frame from its canvas
-  /// (warp + sent tiles), re-deriving the request's content quality from
-  /// the post-apply canvas state. An epoch mismatch or cold canvas
-  /// produces a small `canvas_resync` response instead of inference — the
-  /// edge never segments a frame it cannot faithfully reconstruct.
-  void submit_canvas_delta(int frame_index, double sent_ms, std::size_t bytes,
-                           const segnet::InferenceRequest& request,
-                           int attempt, const enc::CanvasDelta& delta);
-
-  /// Install the canvas policy (tile aging/decay) for this session.
-  void configure_canvas(const enc::CanvasOptions& opts) {
-    canvas_ = enc::Canvas(opts);
-  }
   [[nodiscard]] const enc::Canvas& canvas() const { return canvas_; }
 
   /// Re-emit only the named chunks of an already computed frame. A resend
@@ -238,14 +224,8 @@ class EdgeServer {
   /// by `now_ms` are never missed.
   std::vector<Response> poll(double now_ms);
 
-  [[nodiscard]] const segnet::SegmentationModel& model() const {
-    return model_;
-  }
   [[nodiscard]] const net::FaultInjector& uplink_faults() const {
     return uplink_faults_;
-  }
-  [[nodiscard]] const net::SendQueue& uplink_queue() const {
-    return uplink_queue_;
   }
 
  private:
@@ -264,6 +244,16 @@ class EdgeServer {
 
   friend class EdgeGpu;
 
+  /// Arrival times at the server of one uplink message: none when the
+  /// link dropped it, two when it duplicated it.
+  struct Arrivals {
+    int copies = 0;
+    double at_ms[2] = {0.0, 0.0};
+  };
+  /// Put one message on the uplink send queue, through the uplink faults,
+  /// and trace its transfer.
+  Arrivals uplink(int request_id, double sent_ms, std::size_t bytes,
+                  int attempt, bool is_resend = false);
   /// Route one arrived request through the GPU: reject at the admission
   /// gate (before any model evaluation) or evaluate the model now —
   /// per-session RNG draws stay in submission order no matter how the GPU

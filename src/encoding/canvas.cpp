@@ -90,7 +90,10 @@ double Canvas::tile_effective_quality(int index) const {
   }
   const auto& t = grid_[static_cast<std::size_t>(index)];
   if (!t.valid) return 0.0;
-  return tile_quality(t.level) * std::pow(opts_.age_decay, t.age);
+  // Multiplicative per-update quality decay of a reused (unsent) tile:
+  // stale content is a progressively worse stand-in for the live frame.
+  constexpr double kAgeDecay = 0.94;
+  return tile_quality(t.level) * std::pow(kAgeDecay, t.age);
 }
 
 double Canvas::content_quality_now() const {

@@ -20,12 +20,6 @@
 
 namespace edgeis::enc {
 
-struct CanvasOptions {
-  /// Multiplicative per-frame quality decay of a reused (unsent) tile —
-  /// stale content is a progressively worse stand-in for the live frame.
-  double age_decay = 0.94;
-};
-
 /// Deterministic function of (canvas state, update): both sides of the
 /// link compute it independently and must agree bit-for-bit.
 enum class CanvasApplyStatus {
@@ -67,8 +61,6 @@ struct CanvasDelta {
 
 class Canvas {
  public:
-  explicit Canvas(CanvasOptions opts = {}) : opts_(opts) {}
-
   /// Seed (or reset) the canvas from a full keyframe, establishing
   /// `epoch`. Always succeeds; all tiles become valid at age 0.
   void apply_full(const EncodedFrame& encoded, std::uint32_t epoch);
@@ -110,7 +102,6 @@ class Canvas {
  private:
   [[nodiscard]] double content_quality_now() const;
 
-  CanvasOptions opts_;
   bool seeded_ = false;
   std::uint32_t epoch_ = 0;
   int cols_ = 0;

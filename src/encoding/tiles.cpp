@@ -96,12 +96,13 @@ EncodedFrame encode_cfrs(int frame_index, int width, int height,
 
   // Precompute dilated & eroded versions per mask so a tile can be tested
   // for "contains contour" (dilated minus eroded band) vs interior.
+  constexpr int kContourBandPx = 8;  // band kept near-lossless
   std::vector<mask::InstanceMask> dilated, eroded;
   dilated.reserve(masks.size());
   eroded.reserve(masks.size());
   for (const auto& m : masks) {
-    dilated.push_back(m.dilated(opts.contour_band_px));
-    eroded.push_back(m.eroded(opts.contour_band_px));
+    dilated.push_back(m.dilated(kContourBandPx));
+    eroded.push_back(m.eroded(kContourBandPx));
   }
 
   std::vector<Tile> tiles;

@@ -66,7 +66,6 @@ struct EncodedFrame {
 
 struct EncoderOptions {
   int tile_size = 64;
-  int contour_band_px = 8;  // band around mask contours kept near-lossless
 };
 
 /// The CFRS policy: classify each tile by the transferred masks and

@@ -110,16 +110,8 @@ double best_local_residual(const img::GrayImage& cur,
 
 }  // namespace
 
-UplinkPlan FullUplinkEncoder::plan(const UplinkFrameInput& in) {
-  UplinkPlan out;
-  out.encoded = classify_frame(in, cfg_.tiles);
-  out.content_quality = out.encoded.content_quality;
-  out.tiles_sent = static_cast<int>(out.encoded.tiles.size());
-  return out;
-}
-
-UplinkPlan DeltaUplinkEncoder::plan_full(const UplinkFrameInput& in,
-                                         EncodedFrame encoded) {
+UplinkPlan UplinkEncoder::plan_full(const UplinkFrameInput& in,
+                                    EncodedFrame encoded) {
   ++epoch_;
   mirror_.apply_full(encoded, epoch_);
   if (in.intensity != nullptr) {
@@ -128,8 +120,6 @@ UplinkPlan DeltaUplinkEncoder::plan_full(const UplinkFrameInput& in,
     ref_ = img::GrayImage();
   }
   diverged_ = false;
-  ++stats_.full_sent;
-  stats_.tiles_sent += static_cast<long long>(encoded.tiles.size());
 
   UplinkPlan out;
   out.content_quality = encoded.content_quality;
@@ -139,8 +129,15 @@ UplinkPlan DeltaUplinkEncoder::plan_full(const UplinkFrameInput& in,
   return out;
 }
 
-UplinkPlan DeltaUplinkEncoder::plan(const UplinkFrameInput& in) {
+UplinkPlan UplinkEncoder::plan(const UplinkFrameInput& in) {
   EncodedFrame full = classify_frame(in, cfg_.tiles);
+  if (cfg_.uplink == UplinkMode::kFull) {
+    UplinkPlan out;
+    out.content_quality = full.content_quality;
+    out.tiles_sent = static_cast<int>(full.tiles.size());
+    out.encoded = std::move(full);
+    return out;
+  }
   const bool ref_usable = !ref_.empty() && ref_.width() == in.width &&
                           ref_.height() == in.height;
   if (mirror_.cold() || diverged_ || !in.warp_valid ||
@@ -164,10 +161,23 @@ UplinkPlan DeltaUplinkEncoder::plan(const UplinkFrameInput& in) {
   const int dyt = static_cast<int>(std::lround(
       static_cast<double>(ref_dy) / ts));
 
-  const bool congested = in.congestion >= cfg_.congestion_threshold;
+  // Mean per-pixel intensity residual (8-bit scale) above which a tile
+  // is considered changed and must be sent.
+  constexpr double kSkipResidualThreshold = 6.0;
+  // A content-class tile (interior / contour / new area) reused from the
+  // canvas is force-refreshed after this many delta updates; background
+  // can coast much longer.
+  constexpr int kMaxContentTileAge = 3;
+  constexpr int kMaxBackgroundTileAge = 24;
+  // Congestion factor (srtt / seed RTT, or the RTO backoff multiplier)
+  // beyond which the encoder adapts: sent tiles step one compression
+  // level down and the skip threshold is scaled up, trading pixels for
+  // staying inside throttled-link windows.
+  constexpr double kCongestionThreshold = 1.8;
+  constexpr double kCongestedResidualScale = 1.5;
+  const bool congested = in.congestion >= kCongestionThreshold;
   const double threshold =
-      cfg_.skip_residual_threshold *
-      (congested ? cfg_.congested_residual_scale : 1.0);
+      kSkipResidualThreshold * (congested ? kCongestedResidualScale : 1.0);
 
   CanvasDelta delta;
   delta.epoch = epoch_ + 1;
@@ -195,8 +205,8 @@ UplinkPlan DeltaUplinkEncoder::plan(const UplinkFrameInput& in) {
       const auto& old_tile =
           old_grid[static_cast<std::size_t>(sr) * cols + sc];
       const bool content = t.cls != TileClass::kBackground;
-      const int max_age = content ? cfg_.max_content_tile_age
-                                  : cfg_.max_background_tile_age;
+      const int max_age =
+          content ? kMaxContentTileAge : kMaxBackgroundTileAge;
       if (old_tile.valid && old_tile.cls == t.cls &&
           old_tile.age + 1 <= max_age && residual <= threshold) {
         continue;  // the edge reconstructs this tile from its canvas
@@ -245,11 +255,6 @@ UplinkPlan DeltaUplinkEncoder::plan(const UplinkFrameInput& in) {
   }
   ref_ = std::move(new_ref);
 
-  ++stats_.deltas_sent;
-  stats_.tiles_sent += static_cast<long long>(sent_tiles.size());
-  stats_.tiles_skipped +=
-      static_cast<long long>(full.tiles.size() - sent_tiles.size());
-
   UplinkPlan out;
   out.is_delta = true;
   out.delta = std::move(delta);
@@ -265,14 +270,6 @@ UplinkPlan DeltaUplinkEncoder::plan(const UplinkFrameInput& in) {
   out.encoded.total_bytes = payload;
   out.encoded.content_quality = applied.content_quality;
   return out;
-}
-
-std::unique_ptr<UplinkEncoder> make_uplink_encoder(
-    const EncodingConfig& cfg) {
-  if (cfg.uplink == UplinkMode::kDelta) {
-    return std::make_unique<DeltaUplinkEncoder>(cfg);
-  }
-  return std::make_unique<FullUplinkEncoder>(cfg);
 }
 
 }  // namespace edgeis::enc

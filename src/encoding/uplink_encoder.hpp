@@ -1,15 +1,13 @@
-// The uplink send policy behind an interface: what the mobile side puts
-// on the wire for one keyframe. FullUplinkEncoder reproduces the
+// The uplink send policy: what the mobile side puts on the wire for one
+// keyframe. In full mode (EncodingConfig::uplink) it reproduces the
 // original inline CFRS path byte-for-byte (every transfer re-sends the
-// whole encoded frame); DeltaUplinkEncoder keeps a mirror of the edge's
+// whole encoded frame); in delta mode it keeps a mirror of the edge's
 // per-session Canvas and ships only the tiles that diverge from the
 // pose-warped canvas — residual-gated, age-bounded, and stepped down
-// under link congestion. PipelineConfig selects the implementation via
-// EncodingConfig::uplink.
+// under link congestion.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "encoding/canvas.hpp"
@@ -21,28 +19,12 @@ namespace edgeis::enc {
 
 enum class UplinkMode { kFull, kDelta };
 
-/// The single coherent encoding config block (PipelineConfig::encoding):
-/// tile geometry, uplink mode, canvas behavior, and the delta encoder's
-/// skip/refresh/congestion policy.
+/// The encoding config block (PipelineConfig::encoding): tile geometry
+/// and uplink mode. The delta encoder's skip/refresh/congestion policy
+/// is fixed (UplinkEncoder::plan).
 struct EncodingConfig {
   EncoderOptions tiles;
   UplinkMode uplink = UplinkMode::kFull;
-  CanvasOptions canvas;
-
-  /// Mean per-pixel intensity residual (8-bit scale) above which a tile
-  /// is considered changed and must be sent.
-  double skip_residual_threshold = 6.0;
-  /// A content-class tile (interior / contour / new area) reused from the
-  /// canvas is force-refreshed after this many delta updates; background
-  /// can coast much longer.
-  int max_content_tile_age = 3;
-  int max_background_tile_age = 24;
-  /// Congestion factor (srtt / seed RTT, or the RTO backoff multiplier)
-  /// beyond which the encoder adapts: sent tiles step one compression
-  /// level down and the skip threshold is scaled up, trading pixels for
-  /// staying inside throttled-link windows.
-  double congestion_threshold = 1.8;
-  double congested_residual_scale = 1.5;
 };
 
 struct UplinkFrameInput {
@@ -82,44 +64,15 @@ struct UplinkPlan {
 
 class UplinkEncoder {
  public:
-  virtual ~UplinkEncoder() = default;
-  virtual UplinkPlan plan(const UplinkFrameInput& in) = 0;
+  explicit UplinkEncoder(EncodingConfig cfg) : cfg_(cfg) {}
+  /// Full mode: CFRS tile selection per transfer (or uniform high quality
+  /// for refreshes), whole frame every time. Delta mode: a delta against
+  /// the mirror canvas when it can, else a full keyframe that re-seeds it.
+  UplinkPlan plan(const UplinkFrameInput& in);
   /// The edge's canvas can no longer be assumed to match the mirror
   /// (resync response, failed/abandoned request, tracker reset): the next
-  /// plan must be a full keyframe.
-  virtual void mark_diverged() {}
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-/// The pre-delta policy, bit-for-bit: CFRS tile selection per transfer
-/// (or uniform high quality for refreshes), whole frame every time.
-class FullUplinkEncoder final : public UplinkEncoder {
- public:
-  explicit FullUplinkEncoder(EncodingConfig cfg) : cfg_(cfg) {}
-  UplinkPlan plan(const UplinkFrameInput& in) override;
-  [[nodiscard]] const char* name() const override { return "full"; }
-
- private:
-  EncodingConfig cfg_;
-};
-
-class DeltaUplinkEncoder final : public UplinkEncoder {
- public:
-  explicit DeltaUplinkEncoder(EncodingConfig cfg)
-      : cfg_(cfg), mirror_(cfg.canvas) {}
-  UplinkPlan plan(const UplinkFrameInput& in) override;
-  void mark_diverged() override { diverged_ = true; }
-  [[nodiscard]] const char* name() const override { return "delta"; }
-
-  [[nodiscard]] const Canvas& mirror() const { return mirror_; }
-
-  struct Stats {
-    int full_sent = 0;
-    int deltas_sent = 0;
-    long long tiles_sent = 0;
-    long long tiles_skipped = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// delta-mode plan must be a full keyframe.
+  void mark_diverged() { diverged_ = true; }
 
  private:
   UplinkPlan plan_full(const UplinkFrameInput& in, EncodedFrame encoded);
@@ -129,9 +82,6 @@ class DeltaUplinkEncoder final : public UplinkEncoder {
   img::GrayImage ref_;  // what the edge canvas's pixels look like
   std::uint32_t epoch_ = 0;
   bool diverged_ = false;
-  Stats stats_;
 };
-
-std::unique_ptr<UplinkEncoder> make_uplink_encoder(const EncodingConfig& cfg);
 
 }  // namespace edgeis::enc

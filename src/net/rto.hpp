@@ -30,8 +30,6 @@ struct RtoConfig {
   /// seeding the estimator: the first real sample includes an inference
   /// pass the link profile knows nothing about.
   double initial_compute_guess_ms = 800.0;
-  /// Multiplier applied to the RTO per timeout (Karn backoff).
-  double backoff_factor = 2.0;
 };
 
 /// Smoothed RTT + deviation with exponential timeout backoff.
@@ -78,8 +76,10 @@ class RttEstimator {
   /// degraded-mode entry can key off the inflation itself, even under a
   /// min==max "fixed timeout" configuration.
   void on_timeout() {
+    // Multiplier applied to the RTO per timeout (Karn backoff).
+    constexpr double kBackoffFactor = 2.0;
     ++timeouts_;
-    backoff_ = std::min(backoff_ * cfg_.backoff_factor, 1048576.0);
+    backoff_ = std::min(backoff_ * kBackoffFactor, 1048576.0);
   }
 
   /// A response arrived (possibly unsampleable under Karn's rule): the

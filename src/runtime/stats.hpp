@@ -170,7 +170,7 @@ struct LinkHealthStats {
   int degraded_frames = 0;
   double time_in_degraded_ms = 0.0;
   int refresh_requests = 0;     // full-quality refreshes after recovery
-  // Canvas-delta uplink (enc::Canvas + DeltaUplinkEncoder). Zero in full
+  // Canvas-delta uplink (enc::Canvas + enc::UplinkEncoder). Zero in full
   // uplink mode.
   int canvas_full_keyframes = 0;  // full (canvas-seeding) uploads
   int canvas_deltas = 0;          // delta uploads

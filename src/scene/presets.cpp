@@ -9,6 +9,12 @@
 namespace edgeis::scene {
 namespace {
 
+/// `mesh` raised by `dy` so the object stands on the floor.
+Mesh lifted(Mesh mesh, double dy) {
+  for (auto& v : mesh.vertices) v.y += dy;
+  return mesh;
+}
+
 SceneObject make_object(ObjectClass cls, int instance_id,
                         const geom::Vec3& position, std::uint64_t seed,
                         double yaw = 0.0) {
@@ -18,34 +24,37 @@ SceneObject make_object(ObjectClass cls, int instance_id,
   o.motion.base_position = position;
   o.motion.yaw0 = yaw;
   o.texture_seed = seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(instance_id);
+  // Every object of a class shares one mesh, built once per process and
+  // copied; the centered ones are lifted so they stand on the floor.
+  static const Mesh kPerson = lifted(make_cylinder(0.28, 1.7, 10), 0.85);
+  static const Mesh kCar = make_car();
+  static const Mesh kCrate = lifted(make_box(0.9, 0.9, 0.9), 0.45);
+  static const Mesh kSeparator = make_separator();
+  static const Mesh kTube = lifted(make_tube(0.22, 2.4, 10), 0.5);
+  static const Mesh kCabinet = lifted(make_box(0.8, 1.7, 0.5), 0.85);
   switch (cls) {
     case ObjectClass::kPerson:
-      o.mesh = make_cylinder(0.28, 1.7, 10);
-      // Cylinder is centered; lift so feet touch the floor.
-      for (auto& v : o.mesh.vertices) v.y += 0.85;
+      o.mesh = kPerson;
       o.texture_scale = 7.0;
       break;
     case ObjectClass::kCar:
-      o.mesh = make_car();
+      o.mesh = kCar;
       o.texture_scale = 4.0;
       break;
     case ObjectClass::kCrate:
-      o.mesh = make_box(0.9, 0.9, 0.9);
-      for (auto& v : o.mesh.vertices) v.y += 0.45;
+      o.mesh = kCrate;
       o.texture_scale = 6.0;
       break;
     case ObjectClass::kSeparator:
-      o.mesh = make_separator();
+      o.mesh = kSeparator;
       o.texture_scale = 5.0;
       break;
     case ObjectClass::kTube:
-      o.mesh = make_tube(0.22, 2.4, 10);
-      for (auto& v : o.mesh.vertices) v.y += 0.5;
+      o.mesh = kTube;
       o.texture_scale = 8.0;
       break;
     case ObjectClass::kCabinet:
-      o.mesh = make_box(0.8, 1.7, 0.5);
-      for (auto& v : o.mesh.vertices) v.y += 0.85;
+      o.mesh = kCabinet;
       o.texture_scale = 5.0;
       break;
     case ObjectClass::kBackground:

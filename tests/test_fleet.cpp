@@ -148,8 +148,8 @@ TEST(FleetEquivalence, BatchOfOneBitwiseIdenticalToUnbatched) {
   const auto req = two_object_request();
   const double times[] = {0.0, 40.0, 41.0, 500.0};
   for (int i = 0; i < 4; ++i) {
-    plain.submit_streamed(i, times[i], 20000, req, /*attempt=*/0);
-    gpu_backed.submit_streamed(i, times[i], 20000, req, /*attempt=*/0);
+    plain.submit(i, times[i], 20000, req, /*attempt=*/0);
+    gpu_backed.submit(i, times[i], 20000, req, /*attempt=*/0);
   }
   auto a = plain.poll(1e18);
   auto b = gpu_backed.poll(1e18);

@@ -50,8 +50,8 @@ TEST(EdgeServer, FifoQueueing) {
   segnet::InferenceRequest req;
   req.width = 320;
   req.height = 240;
-  server.submit_streamed(1, 0.0, 0, req);
-  server.submit_streamed(2, 1.0, 0, req);  // arrives while busy: queued
+  server.submit(1, 0.0, 0, req);
+  server.submit(2, 1.0, 0, req);  // arrives while busy: queued
   const auto all = server.poll(1e18);
   ASSERT_GE(all.size(), 2u);
   EXPECT_EQ(all.front().frame_index, 1);
@@ -77,7 +77,7 @@ TEST(EdgeServer, PollRespectsTime) {
   segnet::InferenceRequest req;
   req.width = 320;
   req.height = 240;
-  server.submit_streamed(7, 0.0, 0, req);
+  server.submit(7, 0.0, 0, req);
   EXPECT_TRUE(server.poll(0.1).empty());  // still on the uplink
   const auto done = server.poll(1e6);
   ASSERT_FALSE(done.empty());
