@@ -49,7 +49,6 @@ class RenderQueue {
     return chosen->masks;
   }
 
-  [[nodiscard]] double debt_ms() const noexcept { return debt_ms_; }
   [[nodiscard]] int lag_frames() const noexcept {
     return static_cast<int>(std::floor(debt_ms_ / budget_ms_));
   }

@@ -8,6 +8,7 @@
 #include <emmintrin.h>
 #endif
 
+#include "features/bands.hpp"
 #include "runtime/arena.hpp"
 
 namespace edgeis::feat {
@@ -17,63 +18,6 @@ namespace {
 constexpr int kCircle[16][2] = {
     {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0},  {3, 1},  {2, 2},  {1, 3},
     {0, 3},  {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3}};
-
-// NMS + grid-bucketed retention of the raw corners.
-std::vector<Keypoint> suppress_and_retain(const img::GrayImage& image,
-                                          const DetectorOptions& opts,
-                                          std::vector<Keypoint>&& raw) {
-  // Non-maximum suppression on a score grid.
-  std::sort(raw.begin(), raw.end(),
-            [](const Keypoint& a, const Keypoint& b) { return a.score > b.score; });
-  rt::ArenaScope scratch;
-  const int w = image.width();
-  const int h = image.height();
-  auto taken = scratch.alloc_filled<std::uint8_t>(
-      static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0);
-  std::vector<Keypoint> nms;
-  nms.reserve(raw.size());
-  for (const auto& kp : raw) {
-    const int x = static_cast<int>(kp.pixel.x);
-    const int y = static_cast<int>(kp.pixel.y);
-    const std::size_t at =
-        static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-        static_cast<std::size_t>(x);
-    if (taken[at]) continue;
-    nms.push_back(kp);
-    const int r = opts.nms_radius;
-    const int y0 = std::max(0, y - r), y1 = std::min(h - 1, y + r);
-    const int x0 = std::max(0, x - r), x1 = std::min(w - 1, x + r);
-    for (int ty = y0; ty <= y1; ++ty) {
-      const std::size_t off =
-          static_cast<std::size_t>(ty) * static_cast<std::size_t>(w);
-      std::uint8_t* row = taken.data() + off;
-      std::fill(row + x0, row + x1 + 1, std::uint8_t{1});
-    }
-  }
-
-  // Grid-bucketed retention: keep the strongest per cell so features cover
-  // the whole frame rather than clustering on the most textured object.
-  const double cell_w = static_cast<double>(w) / opts.grid_cols;
-  const double cell_h = static_cast<double>(h) / opts.grid_rows;
-  auto cell_counts = scratch.alloc_filled<int>(
-      static_cast<std::size_t>(opts.grid_cols * opts.grid_rows), 0);
-  std::vector<Keypoint> kept;
-  kept.reserve(nms.size());
-  for (const auto& kp : nms) {  // already sorted by score desc
-    const int cx = std::min(opts.grid_cols - 1,
-                            static_cast<int>(kp.pixel.x / cell_w));
-    const int cy = std::min(opts.grid_rows - 1,
-                            static_cast<int>(kp.pixel.y / cell_h));
-    int& count = cell_counts[static_cast<std::size_t>(cy * opts.grid_cols + cx)];
-    if (count >= opts.max_per_cell) continue;
-    ++count;
-    Keypoint k = kp;
-    k.angle = compute_orientation(image, static_cast<int>(kp.pixel.x),
-                                  static_cast<int>(kp.pixel.y));
-    kept.push_back(k);
-  }
-  return kept;
-}
 
 }  // namespace
 
@@ -111,13 +55,17 @@ float compute_orientation(const img::GrayImage& image, int x, int y,
   return static_cast<float>(std::atan2(m01, m10));
 }
 
-std::vector<Keypoint> detect_fast(const img::GrayImage& image,
-                                  const DetectorOptions& opts) {
+namespace {
+
+// The FAST segment test over the detector rows in [y_begin, y_end),
+// calling emit(kp) for each corner in row-major order.
+template <typename Emit>
+void scan_rows(const img::GrayImage& image, const DetectorOptions& opts,
+               int y_begin, int y_end, Emit&& emit) {
   const int border = 4;
   const int w = image.width();
   const int h = image.height();
-  std::vector<Keypoint> raw;
-  if (w <= 2 * border || h <= 2 * border) return raw;
+  if (w <= 2 * border || h <= 2 * border) return;
 
   // Circle taps as linear offsets from the center pixel: one add each
   // instead of a per-tap row*stride multiply through im.at().
@@ -162,10 +110,7 @@ std::vector<Keypoint> detect_fast(const img::GrayImage& image,
     if (n > 0 && !has_run(bright) && !has_run(dark)) return;
     int score = 0;
     for (int k = 0; k < 16; ++k) score += std::max(std::abs(v[k] - c) - t, 0);
-    Keypoint kp;
-    kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
-    kp.score = static_cast<float>(score);
-    raw.push_back(kp);
+    emit(Corner{static_cast<float>(score), x, y});
   };
 
 #ifdef __SSE2__
@@ -179,7 +124,9 @@ std::vector<Keypoint> detect_fast(const img::GrayImage& image,
   const __m128i ones = _mm_cmpeq_epi8(zero, zero);
 #endif
 
-  for (int y = border; y < h - border; ++y) {
+  const int y_first = std::max(border, y_begin);
+  const int y_last = std::min(h - border, y_end);
+  for (int y = y_first; y < y_last; ++y) {
     const std::uint8_t* row = image.row(y);
     const std::uint8_t* row_n = image.row(y - 3);
     const std::uint8_t* row_s = image.row(y + 3);
@@ -233,7 +180,83 @@ std::vector<Keypoint> detect_fast(const img::GrayImage& image,
       if (brighter >= 3 || darker >= 3) test_pixel(row, x, y);
     }
   }
-  return suppress_and_retain(image, opts, std::move(raw));
+}
+
+}  // namespace
+
+std::size_t bands::scan_fast(const img::GrayImage& image,
+                             const DetectorOptions& opts, int y_begin,
+                             int y_end, std::span<Corner> out) {
+  std::size_t found = 0;
+  scan_rows(image, opts, y_begin, y_end, [&](const Corner& c) {
+    if (found < out.size()) out[found] = c;
+    ++found;
+  });
+  return found;
+}
+
+void bands::suppress_and_retain(const img::GrayImage& image,
+                                const DetectorOptions& opts,
+                                std::span<Corner> raw,
+                                std::vector<Keypoint>& kept) {
+  if (raw.empty()) return;
+  // Non-maximum suppression on a score grid, strongest first.
+  std::sort(raw.begin(), raw.end(),
+            [](const Corner& a, const Corner& b) { return a.score > b.score; });
+  rt::ArenaScope scratch;
+  const int w = image.width();
+  const int h = image.height();
+  auto taken = scratch.alloc_filled<std::uint8_t>(
+      static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0);
+  // Grid-bucketed retention of the survivors, in the same order: keep the
+  // strongest per cell so features cover the whole frame rather than
+  // clustering on the most textured object.
+  const double cell_w = static_cast<double>(w) / opts.grid_cols;
+  const double cell_h = static_cast<double>(h) / opts.grid_rows;
+  auto cell_counts = scratch.alloc_filled<int>(
+      static_cast<std::size_t>(opts.grid_cols * opts.grid_rows), 0);
+  for (const Corner& c : raw) {
+    const int x = c.x;
+    const int y = c.y;
+    const std::size_t at =
+        static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+        static_cast<std::size_t>(x);
+    if (taken[at]) continue;
+    const int r = opts.nms_radius;
+    const int y0 = std::max(0, y - r), y1 = std::min(h - 1, y + r);
+    const int x0 = std::max(0, x - r), x1 = std::min(w - 1, x + r);
+    for (int ty = y0; ty <= y1; ++ty) {
+      const std::size_t off =
+          static_cast<std::size_t>(ty) * static_cast<std::size_t>(w);
+      std::uint8_t* row = taken.data() + off;
+      std::fill(row + x0, row + x1 + 1, std::uint8_t{1});
+    }
+    Keypoint kp;
+    kp.pixel = {static_cast<double>(x), static_cast<double>(y)};
+    kp.score = c.score;
+    const int cx = std::min(opts.grid_cols - 1,
+                            static_cast<int>(kp.pixel.x / cell_w));
+    const int cy = std::min(opts.grid_rows - 1,
+                            static_cast<int>(kp.pixel.y / cell_h));
+    int& count = cell_counts[static_cast<std::size_t>(cy * opts.grid_cols + cx)];
+    if (count >= opts.max_per_cell) continue;
+    ++count;
+    kept.push_back(kp);
+  }
+}
+
+std::vector<Keypoint> detect_fast(const img::GrayImage& image,
+                                  const DetectorOptions& opts) {
+  std::vector<Corner> raw;
+  scan_rows(image, opts, 0, image.height(),
+            [&](const Corner& c) { raw.push_back(c); });
+  std::vector<Keypoint> kept;
+  bands::suppress_and_retain(image, opts, raw, kept);
+  for (auto& kp : kept) {
+    kp.angle = compute_orientation(image, static_cast<int>(kp.pixel.x),
+                                   static_cast<int>(kp.pixel.y));
+  }
+  return kept;
 }
 
 }  // namespace edgeis::feat

@@ -19,6 +19,13 @@ struct DetectorOptions {
   int max_per_cell = 6;      // keep top-N by score per grid cell
 };
 
+/// A segment-test corner before suppression, at pixel (x, y). A third of
+/// a Keypoint's size: a frame's scan yields thousands.
+struct Corner {
+  float score;
+  int x, y;
+};
+
 /// Detect corners on a single image. Keypoint positions are in this image's
 /// pixel coordinates; the caller scales for pyramid levels. A compass
 /// prefilter (16 pixels per step where SSE2 is available) passes few

@@ -58,9 +58,6 @@ class Arena {
     for (const auto& b : blocks_) total += b.size;
     return total;
   }
-  [[nodiscard]] std::size_t high_water_bytes() const noexcept {
-    return high_water_;
-  }
 
  private:
   friend class ArenaScope;
@@ -87,16 +84,12 @@ class Arena {
     }
     std::byte* p = blocks_[block_].data.get() + offset_;
     offset_ += bytes;
-    in_use_ += bytes;
-    if (in_use_ > high_water_) high_water_ = in_use_;
     return p;
   }
 
   std::vector<Block> blocks_;
   std::size_t block_ = 0;   // block currently bumping
   std::size_t offset_ = 0;  // within blocks_[block_]
-  std::size_t in_use_ = 0;  // approximate; rebased by ArenaScope
-  std::size_t high_water_ = 0;
 };
 
 /// The per-thread scratch arena the hot kernels share. The simulation is
@@ -113,14 +106,10 @@ inline Arena& frame_arena() {
 class ArenaScope {
  public:
   explicit ArenaScope(Arena& arena = frame_arena())
-      : arena_(arena),
-        block_(arena.block_),
-        offset_(arena.offset_),
-        in_use_(arena.in_use_) {}
+      : arena_(arena), block_(arena.block_), offset_(arena.offset_) {}
   ~ArenaScope() {
     arena_.block_ = block_;
     arena_.offset_ = offset_;
-    arena_.in_use_ = in_use_;
   }
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;
@@ -138,7 +127,6 @@ class ArenaScope {
   Arena& arena_;
   std::size_t block_;
   std::size_t offset_;
-  std::size_t in_use_;
 };
 
 }  // namespace edgeis::rt

@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <span>
+#include <tuple>
 
+#include "runtime/arena.hpp"
 #include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
+#include "runtime/worker_pool.hpp"
+#include "scene/bands.hpp"
 #include "scene/kernels.hpp"
 #include "scene/texture.hpp"
 
@@ -97,9 +103,12 @@ int clip_near(const ClipVertex in[3], double near_z, ClipVertex out[4]) {
   return n;  // polygon vertex count (0..4)
 }
 
-/// The renderer's near plane. Shared between render() and
-/// unoccluded_mask() so both rasterize identically.
+/// The renderer's near plane.
 constexpr double kNearZ = 0.05;
+
+/// Row bands per lane: more bands than lanes lets a lane that drew light
+/// rows take another band while one with the room's floor finishes.
+constexpr int kBandsPerLane = 3;
 
 // The x-range of one box row in which a pixel can pass the rasterizer's
 // w0/w1/w2 >= 0 test; every pixel outside it fails that test. Each edge
@@ -174,98 +183,246 @@ class RowSpans {
   double slack_ = 0.0;
 };
 
-// Rasterize one mesh into the frame buffers: near-clip, project,
-// perspective-correct z-buffered fill with the procedural texture.
-void rasterize_mesh(const geom::PinholeCamera& cam, const Mesh& mesh,
-                    const geom::SE3& t_co, std::uint16_t instance_id,
-                    std::uint64_t tex_seed, double tex_scale,
-                    img::GrayImage& intensity, img::IdImage& instance_ids,
-                    img::DepthImage& depth) {
-  const auto fill_row = rt::cpu_has_avx2() ? kernels::raster_row_avx2
-                                           : kernels::raster_row_scalar;
-  TextureSampler texture(tex_seed, tex_scale);
-  std::vector<geom::Vec3> cam_pos(mesh.vertices.size());
-  for (std::size_t i = 0; i < mesh.vertices.size(); ++i) {
-    cam_pos[i] = t_co * mesh.vertices[i];
+// A projected triangle of the draw list, with its pixel box and area.
+struct DrawTriangle {
+  kernels::RasterTriangle t;
+  double area;
+  int x0, x1, y0, y1;
+};
+
+// A mesh of the draw list: its triangles, in mesh order, and what its
+// pixels get.
+struct DrawMesh {
+  std::size_t first, end;  // triangle range in the draw list
+  std::uint16_t instance_id;
+  std::uint64_t texture_seed;
+  double texture_scale;
+};
+
+// Every triangle of a frame, posed, near-clipped and projected in draw
+// order (mesh by mesh, triangle by triangle), in frame-arena storage that
+// lives as long as `scratch`. The serial step of a render.
+class DrawList {
+ public:
+  DrawList(rt::ArenaScope& scratch, std::size_t meshes, std::size_t triangles)
+      : scratch_(scratch),
+        meshes_(scratch.alloc<DrawMesh>(meshes)),
+        // Near-clipping splits a triangle into at most two.
+        triangles_(scratch.alloc<DrawTriangle>(2 * triangles)) {}
+
+  void add(const geom::PinholeCamera& cam, const Mesh& mesh,
+           const geom::SE3& t_co, std::uint16_t instance_id,
+           std::uint64_t tex_seed, double tex_scale) {
+    const auto cam_pos = scratch_.alloc<geom::Vec3>(mesh.vertices.size());
+    for (std::size_t i = 0; i < mesh.vertices.size(); ++i) {
+      cam_pos[i] = t_co * mesh.vertices[i];
+    }
+    DrawMesh& m = meshes_[mesh_count_++];
+    m = {triangle_count_, triangle_count_, instance_id, tex_seed, tex_scale};
+    for (const auto& tri : mesh.triangles) {
+      ClipVertex in[3] = {{cam_pos[tri.a], mesh.vertices[tri.a]},
+                          {cam_pos[tri.b], mesh.vertices[tri.b]},
+                          {cam_pos[tri.c], mesh.vertices[tri.c]}};
+      ClipVertex poly[4];
+      const int n = clip_near(in, kNearZ, poly);
+      for (int k = 2; k < n; ++k) {
+        const ClipVertex* v[3] = {&poly[0], &poly[k - 1], &poly[k]};
+        project(cam, v);
+      }
+    }
+    m.end = triangle_count_;
   }
 
-  for (const auto& tri : mesh.triangles) {
-    ClipVertex in[3] = {{cam_pos[tri.a], mesh.vertices[tri.a]},
-                        {cam_pos[tri.b], mesh.vertices[tri.b]},
-                        {cam_pos[tri.c], mesh.vertices[tri.c]}};
-    ClipVertex poly[4];
-    const int n = clip_near(in, kNearZ, poly);
-    for (int k = 2; k < n; ++k) {
-      const ClipVertex* v[3] = {&poly[0], &poly[k - 1], &poly[k]};
-      // Project.
-      kernels::RasterTriangle t{};
-      const geom::Vec2* px = t.px;
-      for (int i = 0; i < 3; ++i) {
-        const auto p = cam.project(v[i]->cam, kNearZ * 0.5);
-        if (!p) goto next_subtri;
-        t.px[i] = *p;
-        t.inv_z[i] = 1.0 / v[i]->cam.z;
-        t.obj[i] = v[i]->obj;
-      }
-      {
-        // Bounding box in pixels.
-        const int x0 = std::max(
-            0, static_cast<int>(std::floor(
-                   std::min({px[0].x, px[1].x, px[2].x}))));
-        const int x1 = std::min(
-            cam.width - 1, static_cast<int>(std::ceil(
-                               std::max({px[0].x, px[1].x, px[2].x}))));
-        const int y0 = std::max(
-            0, static_cast<int>(std::floor(
-                   std::min({px[0].y, px[1].y, px[2].y}))));
-        const int y1 = std::min(
-            cam.height - 1, static_cast<int>(std::ceil(
-                                std::max({px[0].y, px[1].y, px[2].y}))));
-        const double area = (px[1].x - px[0].x) * (px[2].y - px[0].y) -
-                            (px[1].y - px[0].y) * (px[2].x - px[0].x);
-        if (std::abs(area) < 1e-9) continue;
-        t.inv_area = 1.0 / area;
-        const RowSpans spans(px, area, x0, x1, y0, y1);
+  [[nodiscard]] std::span<const DrawMesh> meshes() const {
+    return meshes_.first(mesh_count_);
+  }
+  [[nodiscard]] const DrawTriangle& triangle(std::size_t i) const {
+    return triangles_[i];
+  }
 
-        for (int y = y0; y <= y1; ++y) {
-          const auto [first, last] = spans.row(y);
-          const kernels::RasterRow row{y + 0.5, intensity.row(y),
-                                       instance_ids.row(y), depth.row(y),
-                                       instance_id};
-          fill_row(t, row, first, last, texture);
-        }
+ private:
+  // Appends one clipped sub-triangle unless a vertex fails to project or
+  // the triangle is degenerate.
+  void project(const geom::PinholeCamera& cam, const ClipVertex* const v[3]) {
+    DrawTriangle& d = triangles_[triangle_count_];
+    kernels::RasterTriangle& t = d.t;
+    t = {};
+    const geom::Vec2* px = t.px;
+    for (int i = 0; i < 3; ++i) {
+      const auto p = cam.project(v[i]->cam, kNearZ * 0.5);
+      if (!p) return;
+      t.px[i] = *p;
+      t.inv_z[i] = 1.0 / v[i]->cam.z;
+      t.obj[i] = v[i]->obj;
+    }
+    // Bounding box in pixels.
+    d.x0 = std::max(0, static_cast<int>(std::floor(
+                           std::min({px[0].x, px[1].x, px[2].x}))));
+    d.x1 = std::min(cam.width - 1, static_cast<int>(std::ceil(std::max(
+                                       {px[0].x, px[1].x, px[2].x}))));
+    d.y0 = std::max(0, static_cast<int>(std::floor(
+                           std::min({px[0].y, px[1].y, px[2].y}))));
+    d.y1 = std::min(cam.height - 1, static_cast<int>(std::ceil(std::max(
+                                        {px[0].y, px[1].y, px[2].y}))));
+    d.area = (px[1].x - px[0].x) * (px[2].y - px[0].y) -
+             (px[1].y - px[0].y) * (px[2].x - px[0].x);
+    if (std::abs(d.area) < 1e-9) return;
+    t.inv_area = 1.0 / d.area;
+    ++triangle_count_;
+  }
+
+  rt::ArenaScope& scratch_;
+  std::span<DrawMesh> meshes_;
+  std::span<DrawTriangle> triangles_;
+  std::size_t mesh_count_ = 0;
+  std::size_t triangle_count_ = 0;
+};
+
+// What a frame gets after the draw list: the scripted lighting, then
+// sensor noise from the stream seeded by `noise_seed`.
+struct Finish {
+  bool lit = false;
+  double gain = 1.0;
+  double bias = 0.0;
+  double sigma = 0.0;  // no noise when 0
+  std::uint64_t noise_seed = 0;
+};
+
+// Rows [y_begin, y_end) of the three frame buffers: every triangle of the
+// draw list that reaches them, in draw order, each mesh with a fresh
+// texture sampler (its memo is exact, so the bytes do not depend on where
+// a band starts).
+void raster_band(const DrawList& list, int y_begin, int y_end,
+                 img::GrayImage& intensity, img::IdImage& ids,
+                 img::DepthImage& depth) {
+  const auto fill_row = rt::cpu_has_avx2() ? kernels::raster_row_avx2
+                                           : kernels::raster_row_scalar;
+  for (const DrawMesh& m : list.meshes()) {
+    TextureSampler texture(m.texture_seed, m.texture_scale);
+    for (std::size_t i = m.first; i < m.end; ++i) {
+      const DrawTriangle& d = list.triangle(i);
+      const int y0 = std::max(d.y0, y_begin);
+      const int y1 = std::min(d.y1, y_end - 1);
+      if (y0 > y1) continue;
+      const RowSpans spans(d.t.px, d.area, d.x0, d.x1, d.y0, d.y1);
+      for (int y = y0; y <= y1; ++y) {
+        const auto [first, last] = spans.row(y);
+        const kernels::RasterRow row{y + 0.5, intensity.row(y), ids.row(y),
+                                     depth.row(y), m.instance_id};
+        fill_row(d.t, row, first, last, texture);
       }
-    next_subtri:;
     }
   }
 }
 
-// Adds N(0, sigma) to every pixel in row-major order: the same draws and
-// arithmetic as `px + rng.normal(0.0, sigma)` pixel by pixel, where pixel
-// 2k takes pair k's u·f and pixel 2k + 1 its spare v·f. Each block first
+void light_band(const Finish& finish, int y_begin, int y_end,
+                img::GrayImage& image) {
+  for (int y = y_begin; y < y_end; ++y) {
+    auto* row = image.row(y);
+    for (int x = 0; x < image.width(); ++x) {
+      const double v = finish.gain * row[x] + finish.bias;
+      row[x] = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+    }
+  }
+}
+
+// The noise stream's state before the pair of each band's first pixel:
+// `first_pixel(b)` is non-decreasing in b. Pixel p takes pair p / 2, so
+// the replay runs the Marsaglia accept loop up to the last band's first
+// pair and keeps nothing but the states. It counts accepted attempts as
+// kernels::draw_polar does, without a branch on the draw (the rejection
+// branch mispredicts), and takes no log.
+template <typename FirstPixel>
+void find_noise_states(std::uint64_t seed, std::span<rt::Rng> states,
+                       FirstPixel first_pixel) {
+  rt::Rng rng(seed);
+  std::size_t pair = 0;
+  for (std::size_t b = 0; b < states.size(); ++b) {
+    const std::size_t first = first_pixel(b) / 2;
+    while (pair < first) {
+      const double u = rng.uniform(-1.0, 1.0);
+      const double v = rng.uniform(-1.0, 1.0);
+      const double s = u * u + v * v;
+      pair += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
+    }
+    std::construct_at(&states[b], rng);
+  }
+}
+
+// Adds N(0, sigma) to pixels [begin, end) of the row-major frame, drawing
+// from `rng`, the stream's state before pair begin / 2: the same draws and
+// arithmetic as `px + rng.normal(0.0, sigma)` pixel by pixel over the
+// whole frame, where pixel 2k takes pair k's u·f and pixel 2k + 1 its spare
+// v·f. A band that opens on a pair's second pixel takes that pair's v·f
+// alone; a band that closes on a pair's first pixel takes its u·f alone,
+// as the frame's last pixel does when the count is odd. Each block first
 // draws its accepted (u, v, s) triples without a branch on the draw
 // (kernels::draw_polar; the Marsaglia rejection branch mispredicts), then
 // takes one libm log per pair, and then runs the div/sqrt/scale chains
-// branch-free (kernels::shape_noise_*), letting them overlap. With an odd
-// pixel count the last spare goes unused, as it did per pixel. Blocks
-// stay on the stack: a frame-sized draw buffer (3.7 MB at 640x480) shows
-// up in peak RSS.
-void add_sensor_noise(img::GrayImage& image, double sigma, rt::Rng& rng) {
+// branch-free (kernels::shape_noise_*), letting them overlap. Blocks stay
+// on the stack: a frame-sized draw buffer (3.7 MB at 640x480) shows up in
+// peak RSS.
+void add_noise_band(std::uint8_t* data, std::size_t begin, std::size_t end,
+                    double sigma, rt::Rng rng) {
   const auto shape = rt::cpu_has_avx2() ? kernels::shape_noise_avx2
                                         : kernels::shape_noise_scalar;
   constexpr std::size_t kBlockPixels = 2 * kernels::kNoiseBlockPairs;
   kernels::NoiseBlock block{};
-  std::uint8_t* data = image.data();
-  const std::size_t n = image.size();
-  for (std::size_t start = 0; start < n; start += kBlockPixels) {
-    const std::size_t pixels = std::min(n - start, kBlockPixels);
-    const std::size_t pairs = (pixels + 1) / 2;
+  const auto draw = [&](std::size_t pairs) {
     kernels::draw_polar(rng, block, pairs);
     for (std::size_t k = 0; k < pairs; ++k) {
       block.m2log_s[k] = -2.0 * __builtin_log(block.s[k]);
     }
+  };
+  std::size_t start = begin;
+  if (start % 2 != 0 && start < end) {
+    draw(1);
+    std::uint8_t pair[2] = {0, data[start]};
+    shape(pair, 2, block, sigma);
+    data[start++] = pair[1];
+  }
+  for (; start < end; start += kBlockPixels) {
+    const std::size_t pixels = std::min(end - start, kBlockPixels);
+    draw((pixels + 1) / 2);
     shape(data + start, pixels, block, sigma);
   }
+}
+
+// Renders the draw list into the frame buffers in `bands` row bands on
+// the worker pool, then finishes them. Band b holds rows
+// [b·h / bands, (b + 1)·h / bands). The first job fills and lights every
+// band while its task 0 replays the noise stream to each band's first
+// pair; the second adds each band's noise. Every pixel's bytes depend only
+// on the ordered draw list and its own stream position, so they do not
+// depend on `bands` or on which lane runs a task. Tasks allocate nothing.
+void draw_frame(const DrawList& list, const Finish& finish,
+                img::GrayImage& intensity, img::IdImage& ids,
+                img::DepthImage& depth, int bands,
+                rt::ArenaScope& scratch) {
+  const auto n = static_cast<std::size_t>(bands);
+  const auto h = static_cast<std::size_t>(intensity.height());
+  const auto w = static_cast<std::size_t>(intensity.width());
+  const auto first_row = [&](std::size_t b) { return b * h / n; };
+  const auto first_pixel = [&](std::size_t b) { return first_row(b) * w; };
+  const bool noisy = finish.sigma > 0.0;
+  const std::span<rt::Rng> states = scratch.alloc<rt::Rng>(noisy ? n : 0);
+  auto& pool = rt::WorkerPool::shared();
+  pool.run(n + 1, [&](std::size_t task) {
+    if (task == 0) {
+      if (noisy) find_noise_states(finish.noise_seed, states, first_pixel);
+      return;
+    }
+    const std::size_t b = task - 1;
+    const int y_begin = static_cast<int>(first_row(b));
+    const int y_end = static_cast<int>(first_row(b + 1));
+    raster_band(list, y_begin, y_end, intensity, ids, depth);
+    if (finish.lit) light_band(finish, y_begin, y_end, intensity);
+  });
+  if (!noisy) return;
+  pool.run(n, [&](std::size_t b) {
+    add_noise_band(intensity.data(), first_pixel(b), first_pixel(b + 1),
+                   finish.sigma, states[b]);
+  });
 }
 
 }  // namespace
@@ -364,57 +521,82 @@ SceneSimulator::SceneSimulator(SceneConfig config)
       room_(make_room(config_.room_size, config_.room_height,
                       config_.room_size)) {}
 
-RenderedFrame SceneSimulator::render(int frame_index) const {
-  const auto& cam = config_.camera;
+int bands::default_count(int height) {
+  const int lanes = rt::WorkerPool::shared().lanes();
+  if (lanes == 1) return 1;
+  return std::clamp(kBandsPerLane * lanes, 1, std::max(1, height));
+}
+
+RenderedFrame bands::render(const SceneConfig& config, const Mesh& room,
+                            int frame_index, int bands) {
+  const auto& cam = config.camera;
   RenderedFrame frame;
   frame.index = frame_index;
-  frame.timestamp = frame_index / config_.fps;
+  frame.timestamp = frame_index / config.fps;
   frame.intensity = img::GrayImage(cam.width, cam.height, 0);
   frame.instance_ids = img::IdImage(cam.width, cam.height, 0);
   frame.depth = img::DepthImage(cam.width, cam.height, 1e30f);
-  frame.true_t_cw = config_.path.pose_at(frame.timestamp);
+  frame.true_t_cw = config.path.pose_at(frame.timestamp);
+
+  rt::ArenaScope scratch;
+  std::size_t triangles = room.triangles.size();
+  for (const auto& obj : config.objects) triangles += obj.mesh.triangles.size();
+  DrawList list(scratch, 1 + config.objects.size(), triangles);
 
   // Background room.
-  rasterize_mesh(cam, room_, frame.true_t_cw, 0,
-                 config_.noise_seed ^ 0x400d, 3.0, frame.intensity,
-                 frame.instance_ids, frame.depth);
+  list.add(cam, room, frame.true_t_cw, 0, config.noise_seed ^ 0x400d, 3.0);
 
   // Objects. Poses are recorded for every configured object (the vector
   // stays index-aligned with config().objects); only objects whose
   // presence window covers the frame are drawn.
-  frame.true_t_wo.reserve(config_.objects.size());
-  for (const auto& obj : config_.objects) {
+  frame.true_t_wo.reserve(config.objects.size());
+  for (const auto& obj : config.objects) {
     const geom::SE3 t_wo = obj.motion.pose_at(frame.timestamp);
     frame.true_t_wo.push_back(t_wo);
     if (!obj.present_at(frame.timestamp)) continue;
-    rasterize_mesh(cam, obj.mesh, frame.true_t_cw * t_wo,
-                   static_cast<std::uint16_t>(obj.instance_id),
-                   obj.texture_seed, obj.texture_scale, frame.intensity,
-                   frame.instance_ids, frame.depth);
+    list.add(cam, obj.mesh, frame.true_t_cw * t_wo,
+             static_cast<std::uint16_t>(obj.instance_id), obj.texture_seed,
+             obj.texture_scale);
   }
 
-  // Scripted global lighting (exposure shifts, flashes). Applied before
-  // sensor noise, as real illumination would be.
-  if (!config_.lighting.empty()) {
-    const auto [gain, bias] = config_.lighting.at(frame.timestamp);
-    if (gain != 1.0 || bias != 0.0) {
-      for (int y = 0; y < cam.height; ++y) {
-        auto* row = frame.intensity.row(y);
-        for (int x = 0; x < cam.width; ++x) {
-          const double v = gain * row[x] + bias;
-          row[x] = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-        }
-      }
-    }
+  // Scripted global lighting (exposure shifts, flashes), then sensor
+  // noise (deterministic per frame), as real illumination would be.
+  Finish finish;
+  if (!config.lighting.empty()) {
+    std::tie(finish.gain, finish.bias) = config.lighting.at(frame.timestamp);
+    finish.lit = finish.gain != 1.0 || finish.bias != 0.0;
   }
-
-  // Sensor noise (deterministic per frame).
-  if (config_.pixel_noise_sigma > 0.0) {
-    rt::Rng rng(config_.noise_seed * 0x51ed2701ULL +
-                static_cast<std::uint64_t>(frame_index));
-    add_sensor_noise(frame.intensity, config_.pixel_noise_sigma, rng);
-  }
+  finish.sigma = config.pixel_noise_sigma;
+  finish.noise_seed = config.noise_seed * 0x51ed2701ULL +
+                      static_cast<std::uint64_t>(frame_index);
+  draw_frame(list, finish, frame.intensity, frame.instance_ids, frame.depth,
+             bands, scratch);
   return frame;
+}
+
+img::IdImage bands::unoccluded_ids(const SceneConfig& config,
+                                   int frame_index, int object_index,
+                                   int bands) {
+  const auto& cam = config.camera;
+  const auto& obj = config.objects.at(static_cast<std::size_t>(object_index));
+  img::GrayImage intensity(cam.width, cam.height, 0);
+  img::IdImage ids(cam.width, cam.height, 0);
+  img::DepthImage depth(cam.width, cam.height, 1e30f);
+  const double t = frame_index / config.fps;
+  rt::ArenaScope scratch;
+  DrawList list(scratch, 1, obj.mesh.triangles.size());
+  if (obj.present_at(t)) {
+    list.add(cam, obj.mesh, config.path.pose_at(t) * obj.motion.pose_at(t),
+             static_cast<std::uint16_t>(obj.instance_id), obj.texture_seed,
+             obj.texture_scale);
+  }
+  draw_frame(list, Finish{}, intensity, ids, depth, bands, scratch);
+  return ids;
+}
+
+RenderedFrame SceneSimulator::render(int frame_index) const {
+  return bands::render(config_, room_, frame_index,
+                       bands::default_count(config_.camera.height));
 }
 
 mask::InstanceMask SceneSimulator::ground_truth_mask(
@@ -427,21 +609,11 @@ mask::InstanceMask SceneSimulator::ground_truth_mask(
 
 mask::InstanceMask SceneSimulator::unoccluded_mask(int frame_index,
                                                    int object_index) const {
-  const auto& cam = config_.camera;
   const auto& obj = config_.objects.at(static_cast<std::size_t>(object_index));
-  img::GrayImage intensity(cam.width, cam.height, 0);
-  img::IdImage ids(cam.width, cam.height, 0);
-  img::DepthImage depth(cam.width, cam.height, 1e30f);
-  const double t = frame_index / config_.fps;
-  if (obj.present_at(t)) {
-    const geom::SE3 t_cw = config_.path.pose_at(t);
-    rasterize_mesh(cam, obj.mesh, t_cw * obj.motion.pose_at(t),
-                   static_cast<std::uint16_t>(obj.instance_id),
-                   obj.texture_seed, obj.texture_scale, intensity, ids,
-                   depth);
-  }
   auto m = mask::mask_from_id_image(
-      ids, static_cast<std::uint16_t>(obj.instance_id));
+      bands::unoccluded_ids(config_, frame_index, object_index,
+                            bands::default_count(config_.camera.height)),
+      static_cast<std::uint16_t>(obj.instance_id));
   m.class_id = static_cast<int>(obj.cls);
   return m;
 }

@@ -63,7 +63,6 @@ class Tracker {
   void annotate_keyframe(int frame_index,
                          const std::vector<mask::InstanceMask>& masks);
 
-  [[nodiscard]] const geom::SE3& current_pose() const { return last_pose_; }
   [[nodiscard]] Map& map() { return *map_; }
 
   /// Seed the velocity model after initialization.

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
+#include "features/bands.hpp"
 #include "features/descriptor.hpp"
 #include "features/detector.hpp"
 #include "features/matcher.hpp"
 #include "features/orb.hpp"
 #include "runtime/rng.hpp"
+#include "scene/presets.hpp"
 
 using namespace edgeis;
 using namespace edgeis::feat;
@@ -237,4 +241,105 @@ TEST(Orb, MultiLevelOctaves) {
     EXPECT_LT(f.kp.pixel.y, 256.0);
   }
   EXPECT_TRUE(has_higher_octave);
+}
+
+// ---------------------------------------------------------------------------
+// The front end in bands against its serial form: the same features, in the
+// same order, at every band count.
+
+namespace {
+
+// OrbExtractor::extract as one serial pass: detect_fast (segment test,
+// suppression, retention and orientation) per level, then BRIEF.
+std::vector<Feature> serial_orb(const img::GrayImage& image,
+                                const OrbOptions& opts) {
+  std::vector<img::GrayImage> pyramid;
+  img::build_blurred_pyramid_into(image, opts.pyramid_levels, pyramid);
+  const BriefDescriptorExtractor brief;
+  std::vector<Feature> all;
+  double scale = 1.0;
+  for (std::size_t level = 0; level < pyramid.size(); ++level) {
+    DetectorOptions d = opts.detector;
+    d.max_per_cell = std::max(1, d.max_per_cell >> level);
+    for (Keypoint kp : detect_fast(pyramid[level], d)) {
+      kp.octave = static_cast<std::uint8_t>(level);
+      Feature f{kp, brief.compute(pyramid[level], kp)};
+      f.kp.pixel = kp.pixel * scale;
+      all.push_back(f);
+    }
+    scale *= 2.0;
+  }
+  return all;
+}
+
+void expect_same_features(const std::vector<Feature>& got,
+                          const std::vector<Feature>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Keypoint& a = got[i].kp;
+    const Keypoint& b = want[i].kp;
+    ASSERT_TRUE(a.pixel.x == b.pixel.x && a.pixel.y == b.pixel.y &&
+                a.score == b.score && a.angle == b.angle &&
+                a.octave == b.octave && got[i].desc.bits == want[i].desc.bits)
+        << what << " feature " << i;
+  }
+}
+
+std::vector<img::GrayImage> test_frames() {
+  std::vector<img::GrayImage> frames;
+  for (const auto& cfg :
+       {scene::make_dataset_scene("davis", 42, 90),
+        scene::make_stress_scene(scene::StressRegime::kCrowd, 42, 90)}) {
+    const scene::SceneSimulator sim(cfg);
+    for (const int f : {0, 45, 89}) frames.push_back(sim.render(f).intensity);
+  }
+  return frames;
+}
+
+}  // namespace
+
+TEST(OrbBands, EveryBandCountMatchesTheSerialFrontEnd) {
+  const OrbOptions opts;
+  const BriefDescriptorExtractor brief;
+  OrbScratch scratch;  // reused across frames and band layouts
+  const auto frames = test_frames();
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const auto want = serial_orb(frames[f], opts);
+    ASSERT_GT(want.size(), 500u);
+    expect_same_features(OrbExtractor(opts).extract(frames[f]), want,
+                         "frame " + std::to_string(f) + " extract");
+    for (int bands = 1; bands <= 7; ++bands) {
+      expect_same_features(
+          bands::extract(opts, brief, scratch, frames[f], bands), want,
+          "frame " + std::to_string(f) + " bands " + std::to_string(bands));
+    }
+  }
+}
+
+// Two threads, each with its own extractor, work the same frames at once:
+// one holds the pool while the other runs its tasks inline.
+TEST(OrbBands, ConcurrentExtractorsMatchTheSerialFrontEnd) {
+  const OrbOptions opts;
+  const auto frames = test_frames();
+  std::vector<std::vector<Feature>> want;
+  for (const auto& frame : frames) want.push_back(serial_orb(frame, opts));
+  std::vector<std::vector<Feature>> got[2];
+  const auto extract_all = [&](int who) {
+    const OrbExtractor orb(opts);
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& frame : frames) got[who].push_back(orb.extract(frame));
+    }
+  };
+  std::thread a(extract_all, 0);
+  std::thread b(extract_all, 1);
+  a.join();
+  b.join();
+  for (const auto& results : got) {
+    ASSERT_EQ(results.size(), 3 * want.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      expect_same_features(results[i], want[i % want.size()],
+                           "result " + std::to_string(i));
+    }
+  }
 }

@@ -1,9 +1,16 @@
 // Unit tests for the runtime substrate: deterministic RNG, serialization,
-// ring buffer and statistics.
+// ring buffer, statistics and the worker pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <cstdlib>
 
@@ -13,6 +20,7 @@
 #include "runtime/rng.hpp"
 #include "runtime/serialize.hpp"
 #include "runtime/stats.hpp"
+#include "runtime/worker_pool.hpp"
 
 namespace rt = edgeis::rt;
 
@@ -472,4 +480,131 @@ TEST(SloTracker, BootstrapWhileDegradedCountsAsViolationFrame) {
   const auto s = slo.summary();
   EXPECT_EQ(s.violations, 0);
   EXPECT_EQ(s.violation_frames, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Worker pool
+
+namespace {
+
+// Runs `tasks` tasks on `pool` and returns how often each index ran.
+std::vector<int> run_counts(rt::WorkerPool& pool, std::size_t tasks) {
+  std::vector<std::atomic<int>> hits(tasks);
+  pool.run(tasks, [&](std::size_t i) { hits[i].fetch_add(1); });
+  std::vector<int> out;
+  for (const auto& h : hits) out.push_back(h.load());
+  return out;
+}
+
+// This process's thread count, from /proc; -1 where there is none.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// Whether this process's thread count reads `want` within a second: a
+// joined thread can still be counted for a moment after join returns.
+bool thread_count_reaches(int want) {
+  for (int i = 0; i < 1000; ++i) {
+    if (thread_count() == want) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+}  // namespace
+
+TEST(WorkerPool, EachTaskRunsExactlyOnce) {
+  auto& pool = rt::WorkerPool::shared();
+  ASSERT_GE(pool.lanes(), 1);
+  ASSERT_LE(pool.lanes(), rt::WorkerPool::kMaxLanes);
+  const auto lanes = static_cast<std::size_t>(pool.lanes());
+  for (const std::size_t tasks : {std::size_t{0}, std::size_t{1}, lanes,
+                                  std::size_t{1000}}) {
+    const auto counts = run_counts(pool, tasks);
+    EXPECT_EQ(counts, std::vector<int>(tasks, 1)) << tasks << " tasks";
+  }
+  // A pool of a fixed lane count, whatever this machine has.
+  rt::WorkerPool three(3);
+  EXPECT_EQ(three.lanes(), 3);
+  for (int round = 0; round < 50; ++round) {
+    EXPECT_EQ(run_counts(three, 7), std::vector<int>(7, 1));
+  }
+}
+
+TEST(WorkerPool, StartsThreadsOnTheFirstParallelJobAndJoinsThem) {
+  // A sanitizer runtime starts a helper thread of its own on the first
+  // pthread_create; start and join one thread so that it is not counted.
+  std::thread([] {}).join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const int before = thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  {
+    rt::WorkerPool pool(4);
+    EXPECT_EQ(thread_count(), before);  // constructing starts nothing
+    pool.run(1, [](std::size_t) {});
+    EXPECT_EQ(thread_count(), before);  // one task runs inline
+    pool.run(8, [](std::size_t) {});
+    EXPECT_EQ(thread_count(), before + 3);
+  }
+  EXPECT_TRUE(thread_count_reaches(before));  // the destructor joined them
+}
+
+TEST(WorkerPool, NestedCallRunsInlineOnTheCallingLane) {
+  auto& pool = rt::WorkerPool::shared();
+  std::vector<std::atomic<int>> inner(64 * 5);
+  std::atomic<int> foreign{0};
+  pool.run(64, [&](std::size_t outer) {
+    const auto self = std::this_thread::get_id();
+    pool.run(5, [&](std::size_t i) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+      inner[outer * 5 + i].fetch_add(1);
+    });
+  });
+  EXPECT_EQ(foreign.load(), 0);
+  for (const auto& h : inner) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkerPool, TwoCallingThreadsBothComplete) {
+  auto& pool = rt::WorkerPool::shared();
+  std::vector<int> bad(2, 0);
+  const auto caller = [&](int who) {
+    for (int round = 0; round < 200; ++round) {
+      if (run_counts(pool, 97) != std::vector<int>(97, 1)) ++bad[who];
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad, std::vector<int>(2, 0));
+}
+
+TEST(WorkerPool, TaskExceptionReachesTheCallerAndThePoolStaysUsable) {
+  const auto check = [](rt::WorkerPool& pool) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.run(100,
+                          [&](std::size_t i) {
+                            ran.fetch_add(1);
+                            if (i == 17) throw std::runtime_error("task 17");
+                          }),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 18);  // tasks are claimed in index order
+    try {
+      pool.run(3, [](std::size_t i) {
+        if (i == 1) throw std::logic_error("task 1");
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "task 1");
+    }
+    EXPECT_EQ(run_counts(pool, 1000), std::vector<int>(1000, 1));
+  };
+  check(rt::WorkerPool::shared());
+  rt::WorkerPool four(4);
+  check(four);
 }

@@ -7,11 +7,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "guarded_buffer.hpp"
 #include "runtime/cpu.hpp"
 #include "runtime/rng.hpp"
+#include "scene/bands.hpp"
 #include "scene/kernels.hpp"
 #include "scene/mesh.hpp"
 #include "scene/presets.hpp"
@@ -571,9 +573,10 @@ TEST(StressPresets, CrowdIsCrowdedAndDynamic) {
 
 // ---------------------------------------------------------------------------
 // The renderer's fast paths (memoized texture cells, two-phase sensor
-// noise) against the straightforward renderer they replace: a fresh
-// floor + hash3 per written pixel and one rng.normal per pixel. Both must
-// give the same bytes.
+// noise, row bands on the worker pool) against the straightforward
+// renderer they replace: one pass over the frame, a fresh floor + hash3
+// per written pixel and one rng.normal per pixel. Both must give the same
+// bytes, at every band count.
 
 namespace reference {
 
@@ -782,15 +785,31 @@ bool same_bytes(const img::Image<T>& a, const img::Image<T>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
+// Band counts the renderer's output must not depend on: one band, even
+// and odd splits, and more bands than a 3-row frame has rows.
+constexpr int kBandCounts[] = {1, 2, 3, 4, 7};
+
+void expect_same_frame(const RenderedFrame& got, const RenderedFrame& ref,
+                       const SceneConfig& cfg, int bands) {
+  EXPECT_TRUE(same_bytes(got.intensity, ref.intensity))
+      << cfg.name << " seed " << cfg.noise_seed << " frame " << ref.index
+      << " bands " << bands;
+  EXPECT_TRUE(same_bytes(got.instance_ids, ref.instance_ids))
+      << cfg.name << " seed " << cfg.noise_seed << " frame " << ref.index
+      << " bands " << bands;
+  EXPECT_TRUE(same_bytes(got.depth, ref.depth))
+      << cfg.name << " seed " << cfg.noise_seed << " frame " << ref.index
+      << " bands " << bands;
+}
+
 void expect_matches_reference(const SceneConfig& cfg, int frame_index) {
-  const auto fast = SceneSimulator(cfg).render(frame_index);
   const auto ref = reference::render(cfg, frame_index);
-  EXPECT_TRUE(same_bytes(fast.intensity, ref.intensity))
-      << cfg.name << " seed " << cfg.noise_seed << " frame " << frame_index;
-  EXPECT_TRUE(same_bytes(fast.instance_ids, ref.instance_ids))
-      << cfg.name << " seed " << cfg.noise_seed << " frame " << frame_index;
-  EXPECT_TRUE(same_bytes(fast.depth, ref.depth))
-      << cfg.name << " seed " << cfg.noise_seed << " frame " << frame_index;
+  expect_same_frame(SceneSimulator(cfg).render(frame_index), ref, cfg, 0);
+  const Mesh room = make_room(cfg.room_size, cfg.room_height, cfg.room_size);
+  for (const int bands : kBandCounts) {
+    expect_same_frame(bands::render(cfg, room, frame_index, bands), ref, cfg,
+                      bands);
+  }
 }
 
 std::vector<SceneConfig> every_preset(std::uint64_t seed) {
@@ -826,6 +845,12 @@ TEST(RendererEquivalence, UnoccludedMaskMatchesReference) {
         const auto id = static_cast<std::uint16_t>(cfg.objects[k].instance_id);
         const auto fast = sim.unoccluded_mask(frame, index);
         const auto ids = reference::unoccluded_ids(cfg, frame, index);
+        for (const int bands : kBandCounts) {
+          EXPECT_TRUE(same_bytes(
+              bands::unoccluded_ids(cfg, frame, index, bands), ids))
+              << cfg.name << " object " << id << " frame " << frame
+              << " bands " << bands;
+        }
         const auto ref = mask::mask_from_id_image(ids, id);
         ASSERT_EQ(fast.pixel_count(), ref.pixel_count())
             << cfg.name << " object " << id << " frame " << frame;
@@ -843,7 +868,8 @@ TEST(RendererEquivalence, UnoccludedMaskMatchesReference) {
 
 TEST(RendererEquivalence, OddPixelCountAndNoiselessFrames) {
   // A 5x3 sensor has an odd pixel count: the last pixel takes a fresh
-  // pair's first normal and its spare goes unused.
+  // pair's first normal and its spare goes unused. Four and seven bands
+  // leave some bands without rows.
   SceneConfig tiny = make_davis_scene(9, 30);
   tiny.camera.width = 5;
   tiny.camera.height = 3;
@@ -852,7 +878,9 @@ TEST(RendererEquivalence, OddPixelCountAndNoiselessFrames) {
   tiny.camera.fx = tiny.camera.fy = 4.0;
   for (const int frame : {0, 11, 29}) expect_matches_reference(tiny, frame);
 
-  // Several noise blocks plus an odd remainder.
+  // Several noise blocks plus an odd remainder. The band edges (pixels 641
+  // and 1282) fall inside noise blocks, and the one at odd pixel 641 splits
+  // a pair between two bands.
   SceneConfig odd = make_kitti_scene(9, 30);
   odd.camera.width = 641;
   odd.camera.height = 3;
@@ -1113,13 +1141,13 @@ class RowKernelPair {
   GuardedFrame avx2_;
 };
 
-// A triangle as rasterize_mesh sets it up, with its clipped pixel box.
+// A triangle as the renderer sets it up, with its clipped pixel box.
 struct SetUpTriangle {
   kernels::RasterTriangle t;
   int x0, x1, y0, y1;
 };
 
-// rasterize_mesh's set-up (near clip, project, area cut-off, box) for
+// The renderer's set-up (near clip, project, area cut-off, box) for
 // every triangle of every object of `cfg` at frame 0.
 std::vector<SetUpTriangle> set_up_triangles(const SceneConfig& cfg) {
   const geom::PinholeCamera& cam = cfg.camera;
@@ -1652,5 +1680,31 @@ TEST(NoiseKernels, DrawsLeaveTheGeneratorWherePolarDrawDoes) {
           << pairs << " pairs, pair " << k;
     }
     for (int i = 0; i < 4; ++i) ASSERT_EQ(a(), b()) << pairs << " pairs";
+  }
+}
+
+// Two threads render the same crowded frames at once, one of them while
+// the other holds the pool: both get the reference renderer's bytes.
+TEST(RendererEquivalence, ConcurrentRendersMatchReference) {
+  const SceneConfig cfg = make_stress_scene(StressRegime::kCrowd, 5, 60);
+  const SceneSimulator sim(cfg);
+  const int frames[] = {3, 30, 57};
+  std::vector<RenderedFrame> ref;
+  for (const int f : frames) ref.push_back(reference::render(cfg, f));
+  std::vector<RenderedFrame> got[2];
+  const auto render_all = [&](int who) {
+    for (int round = 0; round < 3; ++round) {
+      for (const int f : frames) got[who].push_back(sim.render(f));
+    }
+  };
+  std::thread a(render_all, 0);
+  std::thread b(render_all, 1);
+  a.join();
+  b.join();
+  for (const auto& frames_of : got) {
+    ASSERT_EQ(frames_of.size(), 3 * ref.size());
+    for (std::size_t i = 0; i < frames_of.size(); ++i) {
+      expect_same_frame(frames_of[i], ref[i % ref.size()], cfg, 0);
+    }
   }
 }
