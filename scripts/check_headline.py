@@ -70,7 +70,7 @@ TOLERANCES = {
     # registry footprint (scales with client count, not samples).
     "slo_viol": (4, 0.50),
     "metrics_kb": (8, 0.30),
-    # Canvas-delta uplink (bench/fig10_network delta rows, fig17b
+    # Canvas-delta uplink (paper_figures fig10 delta rows, fig17b
     # edgeIS-delta rows, fleet_scaling up_kb): bytes on the wire and the
     # canvas economy. `reduction` is the fig10 acceptance number —
     # delta's byte cut vs full-CFRS — and is held to a tight band so a

@@ -156,7 +156,6 @@ bool EdgeISPipeline::pair_geometry_ok(
   strict.min_cheirality_ratio = 0.95;
   strict.min_median_parallax_deg = 1.5;
   strict.min_matches = 80;
-  strict.min_median_displacement_px = 0.0;
   const auto result = vo::initialize_map(camera_, input,
                                          scratch, probe, strict);
   if (!result) return false;

@@ -49,10 +49,6 @@ class RenderQueue {
     return chosen->masks;
   }
 
-  [[nodiscard]] int lag_frames() const noexcept {
-    return static_cast<int>(std::floor(debt_ms_ / budget_ms_));
-  }
-
  private:
   struct Entry {
     int frame_index = 0;

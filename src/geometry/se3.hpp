@@ -110,14 +110,6 @@ struct SE3 {
     const Vec3 w = so3_log(R) * alpha;
     return SE3{so3_exp(w), t * alpha};
   }
-
-  /// Translation distance between camera centers (for T = T_cw the camera
-  /// center is -R^T t).
-  [[nodiscard]] double center_distance_to(const SE3& o) const {
-    const Vec3 c0 = -(R.transpose() * t);
-    const Vec3 c1 = -(o.R.transpose() * o.t);
-    return (c0 - c1).norm();
-  }
 };
 
 }  // namespace edgeis::geom

@@ -39,8 +39,6 @@ SendOutcome SendQueue::enqueue(double now_ms, std::size_t bytes,
   // everything queued behind it inherits the delay.
   busy_until_ms_ =
       slot.enter_ms + slot.serialize_ms * out.fate.latency_scale;
-  ++messages_;
-  bytes_ += bytes;
 
   out.deliver_ms = slot.enter_ms + slot.transit_ms * out.fate.latency_scale +
                    out.fate.extra_delay_ms;

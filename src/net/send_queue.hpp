@@ -66,8 +66,6 @@ class SendQueue {
   /// Messages serialized but not yet delivered at `now_ms` (dropped
   /// copies leave the count at their would-have-been arrival).
   [[nodiscard]] int in_flight(double now_ms) const;
-  [[nodiscard]] std::size_t messages_sent() const { return messages_; }
-  [[nodiscard]] std::size_t bytes_sent() const { return bytes_; }
   [[nodiscard]] const LinkProfile& link() const { return link_; }
 
  private:
@@ -77,8 +75,6 @@ class SendQueue {
   // In-flight arrival times, kept as a min-heap on arrival so enqueue()
   // drains expired entries from the front in O(log n) amortized.
   std::vector<double> deliveries_;
-  std::size_t messages_ = 0;
-  std::size_t bytes_ = 0;
 };
 
 }  // namespace edgeis::net

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -35,21 +33,14 @@ class ByteWriter {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
-  void put_string(std::string_view s) {
-    put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-    const auto old = buf_.size();
-    buf_.resize(old + s.size());
-    // memcpy with a null source is UB even for zero bytes, and an empty
-    // string_view or vector may hand out a null data().
-    if (!s.empty()) std::memcpy(buf_.data() + old, s.data(), s.size());
-  }
-
   template <typename T>
     requires std::is_trivially_copyable_v<T> && std::is_arithmetic_v<T>
   void put_vector(const std::vector<T>& v) {
     put<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
     const auto old = buf_.size();
     buf_.resize(old + v.size() * sizeof(T));
+    // memcpy with a null source is UB even for zero bytes, and an empty
+    // vector may hand out a null data().
     if (!v.empty()) {
       std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
     }
@@ -87,14 +78,6 @@ class ByteReader {
     std::memcpy(&value, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return value;
-  }
-
-  std::string get_string() {
-    const auto n = get<std::uint32_t>();
-    require(n);
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
   }
 
   template <typename T>

@@ -74,7 +74,6 @@ void ResourceMonitor::record_frame(double busy_ms, std::size_t map_bytes,
                                    bool radio_listening) {
   ++frames_;
   busy_ms_total_ += busy_ms;
-  last_memory_ = map_bytes;
   peak_memory_ = std::max(peak_memory_, map_bytes);
 
   const double utilization =

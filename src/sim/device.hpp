@@ -71,8 +71,6 @@ class ResourceMonitor {
 
   [[nodiscard]] double mean_cpu_utilization() const;  // [0, 1] of one core budget
   [[nodiscard]] std::size_t peak_memory_bytes() const { return peak_memory_; }
-  [[nodiscard]] std::size_t last_memory_bytes() const { return last_memory_; }
-  [[nodiscard]] double energy_joules() const { return energy_j_; }
   /// Battery percentage consumed so far.
   [[nodiscard]] double battery_percent() const {
     return energy_j_ / (profile_.battery_wh * 3600.0) * 100.0;
@@ -85,7 +83,6 @@ class ResourceMonitor {
   double busy_ms_total_ = 0.0;
   double energy_j_ = 0.0;
   std::size_t peak_memory_ = 0;
-  std::size_t last_memory_ = 0;
   int frames_ = 0;
 };
 

@@ -117,25 +117,6 @@ std::optional<InitializationResult> initialize_map(
     return std::nullopt;
   }
 
-  if (opts.min_median_displacement_px > 0.0) {
-    std::vector<double> displacements;
-    for (std::size_t i = 0; i < pixel_matches.size(); ++i) {
-      if (fres->inliers[i]) {
-        displacements.push_back(
-            (pixel_matches[i].p1 - pixel_matches[i].p0).norm());
-      }
-    }
-    std::nth_element(displacements.begin(),
-                     displacements.begin() +
-                         static_cast<std::ptrdiff_t>(displacements.size() / 2),
-                     displacements.end());
-    if (displacements[displacements.size() / 2] <
-        opts.min_median_displacement_px) {
-      debug->fail_reason = "insufficient match displacement";
-      return std::nullopt;
-    }
-  }
-
   const geom::Mat3 e =
       geom::essential_from_fundamental(fres->f, camera.k_matrix());
 

@@ -23,11 +23,6 @@ struct InitializerOptions {
   double ransac_threshold = 2.0;       // Sampson distance
   double min_cheirality_ratio = 0.9;   // triangulated-in-front / inliers
   double min_median_parallax_deg = 1.0;
-  /// Median pixel displacement the inlier matches must exceed: the direct
-  /// image-space evidence of baseline. Gait-independent, unlike a frame
-  /// gap: a jogging camera reaches it in a few frames, a slow orbit in
-  /// twenty.
-  double min_median_displacement_px = 0.0;
   double normalized_median_depth = 5.0;  // map scale after normalization
   double min_sharpness = 6.0;            // blurriness-check threshold
   double min_feature_spacing = 3.0;      // proximity check (pixels)

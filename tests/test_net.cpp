@@ -343,8 +343,6 @@ TEST(SendQueue, SerializerIsHeadOfLineButFlightOverlaps) {
   // Both messages are in flight at once — that is the full-duplex point.
   EXPECT_EQ(q.in_flight(first.slot.enter_ms + 0.01), 2);
   EXPECT_EQ(q.in_flight(second.deliver_ms), 0);
-  EXPECT_EQ(q.messages_sent(), 2u);
-  EXPECT_EQ(q.bytes_sent(), 400000u);
 }
 
 TEST(SendQueue, LaterArrivalFindsFreeSerializer) {

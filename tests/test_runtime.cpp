@@ -130,28 +130,24 @@ TEST(Serialize, RoundTripScalars) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(Serialize, RoundTripStringAndVector) {
+TEST(Serialize, RoundTripVector) {
   rt::ByteWriter w;
-  w.put_string("contour");
   w.put_vector<float>({1.5f, -2.5f, 0.0f});
   rt::ByteReader r(w.bytes());
-  EXPECT_EQ(r.get_string(), "contour");
   const auto v = r.get_vector<float>();
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[1], -2.5f);
   EXPECT_TRUE(r.done());
 }
 
-TEST(Serialize, RoundTripEmptyStringAndVector) {
+TEST(Serialize, RoundTripEmptyVectors) {
   // Empty payloads may carry a null data(); the writer and reader must not
   // hand it to memcpy (UB even for zero bytes; gcc UBSan flags it).
   rt::ByteWriter w;
-  w.put_string(std::string_view{});
   w.put_vector<float>({});
   w.put_vector<std::int32_t>(std::vector<std::int32_t>{});
-  EXPECT_EQ(w.size(), 3 * sizeof(std::uint32_t));
+  EXPECT_EQ(w.size(), 2 * sizeof(std::uint32_t));
   rt::ByteReader r(w.bytes());
-  EXPECT_EQ(r.get_string(), "");
   EXPECT_TRUE(r.get_vector<float>().empty());
   EXPECT_TRUE(r.get_vector<std::int32_t>().empty());
   EXPECT_TRUE(r.done());
@@ -164,11 +160,11 @@ TEST(Serialize, UnderrunThrows) {
   EXPECT_THROW(r.get<std::uint64_t>(), rt::DeserializeError);
 }
 
-TEST(Serialize, TruncatedStringThrows) {
+TEST(Serialize, TruncatedVectorThrows) {
   rt::ByteWriter w;
-  w.put<std::uint32_t>(100);  // claims 100 bytes follow; none do
+  w.put<std::uint32_t>(100);  // claims 100 elements follow; none do
   rt::ByteReader r(w.bytes());
-  EXPECT_THROW(r.get_string(), rt::DeserializeError);
+  EXPECT_THROW(r.get_vector<float>(), rt::DeserializeError);
 }
 
 TEST(RingBuffer, PushPopFifo) {

@@ -225,7 +225,10 @@ TEST(CameraPath, WalkAdvances) {
   path.speed = 1.0;
   const geom::SE3 a = path.pose_at(0.0);
   const geom::SE3 b = path.pose_at(2.0);
-  EXPECT_GT(a.center_distance_to(b), 1.5);
+  // For T = T_cw the camera center is -R^T t.
+  const geom::Vec3 ca = -(a.R.transpose() * a.t);
+  const geom::Vec3 cb = -(b.R.transpose() * b.t);
+  EXPECT_GT((ca - cb).norm(), 1.5);
 }
 
 namespace {
